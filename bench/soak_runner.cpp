@@ -318,14 +318,15 @@ void SoakRun::drive_background(std::uint16_t port, std::atomic<bool>* stop) {
     std::this_thread::sleep_until(target);
     WireWriter w;
     w.str("u" + std::to_string(rng.next_below(options_.users)));
-    (*client)->call_async(static_cast<std::uint8_t>(TieraMethod::kGet),
-                          as_view(w.data()), [this](Status status, Bytes) {
-                            if (status.ok() || status.is_not_found()) {
-                              stats_.background_ok.fetch_add(1);
-                            } else if (status.is_overloaded()) {
-                              stats_.background_shed.fetch_add(1);
-                            }
-                          });
+    (void)(*client)->call_async(
+        static_cast<std::uint8_t>(TieraMethod::kGet), as_view(w.data()),
+        [this](Status status, Bytes) {
+          if (status.ok() || status.is_not_found()) {
+            stats_.background_ok.fetch_add(1);
+          } else if (status.is_overloaded()) {
+            stats_.background_shed.fetch_add(1);
+          }
+        });
   }
   // Let stragglers land before the client (and its callbacks) go away.
   for (int i = 0; i < 100 && (*client)->outstanding() > 0; ++i) {

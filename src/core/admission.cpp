@@ -110,11 +110,14 @@ std::string_view AdmissionController::resolve_tenant(std::string_view tenant) {
     Stripe& stripe = stripe_for(tenant);
     std::lock_guard<std::mutex> lock(stripe.mu);
     if (stripe.tenants.count(std::string(tenant)) != 0) return tenant;
-    if (tenant_count_.load(std::memory_order_relaxed) < config_.max_tenants) {
+    // Reserve a slot before inserting: a load-then-add check lets two
+    // stripes both pass the bound and grow the map past max_tenants.
+    if (tenant_count_.fetch_add(1, std::memory_order_relaxed) <
+        config_.max_tenants) {
       stripe.tenants.emplace(std::string(tenant), TenantState{});
-      tenant_count_.fetch_add(1, std::memory_order_relaxed);
       return tenant;
     }
+    tenant_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   // Map is full: this tenant shares the overflow bucket (and its metric
   // series), so a tenant-id flood cannot grow memory unboundedly. Created

@@ -135,10 +135,8 @@ Status TieraInstance::init() {
     db_options.sync_every_write = config_.journal_sync;
     db_options.journal_batch_bytes = config_.journal_batch_bytes;
     db_options.journal_batch_wait = config_.journal_batch_wait;
-    auto db = MetaDb::open(config_.data_dir + "/metadata.db", db_options);
-    if (!db.ok()) return db.status();
-    meta_.attach_db(std::move(db).value());
-    TIERA_RETURN_IF_ERROR(meta_.recover());
+    TIERA_RETURN_IF_ERROR(
+        meta_.open(config_.data_dir + "/metadata.db", db_options));
   }
   control_ = std::make_unique<ControlLayer>(*this, config_.response_threads,
                                             config_.timer_tick);

@@ -9,11 +9,18 @@
 namespace tiera {
 
 namespace {
+
+// Journal keys are "obj/<id>".
 constexpr std::string_view kDbPrefix = "obj/";
+
+std::string db_key(std::string_view id) {
+  std::string key;
+  key.reserve(kDbPrefix.size() + id.size());
+  key.append(kDbPrefix).append(id);
+  return key;
 }
 
-MetadataStore::MetadataStore(std::unique_ptr<MetaDb> db)
-    : db_(std::move(db)) {}
+}  // namespace
 
 MetadataStore::Shard& MetadataStore::shard_for(std::string_view id) {
   return shards_[fnv1a64(id) % kShards];
@@ -24,44 +31,92 @@ const MetadataStore::Shard& MetadataStore::shard_for(
   return shards_[fnv1a64(id) % kShards];
 }
 
-Status MetadataStore::recover() {
-  if (!db_) return Status::Ok();
-  Status status = Status::Ok();
-  db_->scan_prefix(kDbPrefix, [&](std::string_view key, ByteView value) {
-    (void)key;
-    Result<ObjectMeta> meta = ObjectMeta::decode(value);
-    if (!meta.ok()) {
-      status = meta.status();
-      return false;
-    }
-    Shard& shard = shard_for(meta->id);
-    {
-      std::lock_guard lock(shard.mu);
-      shard.map[meta->id] = *meta;
-    }
-    // Rebuild recency and content indexes (ordering by last_access is
-    // approximated by insertion order of the scan; good enough after a
-    // restart, the lists re-sort themselves with use).
-    for (const auto& tier : meta->locations) {
-      touch_in_tier(tier, meta->id);
-    }
-    if (!meta->content_hash.empty()) {
-      add_content_ref(meta->content_hash, meta->id);
-    }
-    return true;
-  });
-  return status;
+Status MetadataStore::open(std::string path, const MetaDbOptions& options) {
+  // Keep only each id's latest value during replay and decode it once
+  // afterwards, not once per superseded record.
+  std::unordered_map<std::string, Bytes> latest;
+  auto db = MetaDb::open(
+      std::move(path), options,
+      [&latest](std::string_view key, bool live, ByteView value) {
+        if (!key.starts_with(kDbPrefix)) return;
+        std::string id(key.substr(kDbPrefix.size()));
+        if (live) {
+          latest[std::move(id)].assign(value.begin(), value.end());
+        } else {
+          latest.erase(id);
+        }
+      });
+  if (!db.ok()) return db.status();
+  db_ = std::move(db).value();
+
+  std::uint64_t live_bytes = 0;
+  for (const auto& [id, value] : latest) {
+    Result<ObjectMeta> meta = ObjectMeta::decode(as_view(value));
+    if (!meta.ok()) return meta.status();
+    const std::uint32_t record_bytes =
+        MetaDb::record_bytes(kDbPrefix.size() + id.size(), value.size());
+    live_bytes += record_bytes;
+    // Rebuild recency and content indexes (recency order is not restored;
+    // good enough after a restart, the lists re-sort themselves with use).
+    for (const auto& tier : meta->locations) touch_in_tier(tier, id);
+    if (!meta->content_hash.empty()) add_content_ref(meta->content_hash, id);
+    Shard& shard = shard_for(id);
+    std::lock_guard lock(shard.mu);
+    shard.map[id] = Entry{std::move(meta).value(), record_bytes};
+  }
+  dead_bytes_.store(db_->log_bytes() - live_bytes, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
-Status MetadataStore::persist(const ObjectMeta& meta) {
-  if (!db_) return Status::Ok();
-  return db_->put(std::string(kDbPrefix) + meta.id, as_view(meta.encode()));
+std::uint64_t MetadataStore::stage_put_locked(Entry& entry) {
+  if (!db_) return 0;
+  const std::string key = db_key(entry.meta.id);
+  const Bytes value = entry.meta.encode();
+  dead_bytes_.fetch_add(entry.record_bytes, std::memory_order_relaxed);
+  entry.record_bytes = MetaDb::record_bytes(key.size(), value.size());
+  return db_->stage_put(key, as_view(value));
 }
 
-Status MetadataStore::unpersist(std::string_view id) {
+std::uint64_t MetadataStore::stage_erase_locked(const Entry& entry) {
+  if (!db_) return 0;
+  const std::string key = db_key(entry.meta.id);
+  // The erased record and the tombstone itself are both dead.
+  dead_bytes_.fetch_add(
+      entry.record_bytes + MetaDb::record_bytes(key.size(), 0),
+      std::memory_order_relaxed);
+  return db_->stage_erase(key);
+}
+
+Status MetadataStore::commit(std::uint64_t seq) {
   if (!db_) return Status::Ok();
-  Status s = db_->erase(std::string(kDbPrefix) + std::string(id));
-  return s.is_not_found() ? Status::Ok() : s;
+  TIERA_RETURN_IF_ERROR(db_->commit(seq));
+  if (db_->wants_compaction(dead_bytes_.load(std::memory_order_relaxed))) {
+    return compact();
+  }
+  return Status::Ok();
+}
+
+Status MetadataStore::compact() {
+  std::array<std::unique_lock<std::mutex>, kShards> locks;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    locks[i] = std::unique_lock(shards_[i].mu);
+  }
+  // Another committer may have compacted while this one waited.
+  if (!db_->wants_compaction(dead_bytes_.load(std::memory_order_relaxed))) {
+    return Status::Ok();
+  }
+  TIERA_RETURN_IF_ERROR(db_->compact([this](const MetaDb::LiveVisitor& visit) {
+    for (auto& shard : shards_) {
+      for (auto& [id, entry] : shard.map) {
+        const std::string key = db_key(id);
+        const Bytes value = entry.meta.encode();
+        entry.record_bytes = MetaDb::record_bytes(key.size(), value.size());
+        visit(key, as_view(value));
+      }
+    }
+  }));
+  dead_bytes_.store(0, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
 std::optional<ObjectMeta> MetadataStore::get(std::string_view id) const {
@@ -70,7 +125,7 @@ std::optional<ObjectMeta> MetadataStore::get(std::string_view id) const {
   std::lock_guard lock(shard.mu);
   auto it = shard.map.find(std::string(id));
   if (it == shard.map.end()) return std::nullopt;
-  return it->second;
+  return it->second.meta;
 }
 
 bool MetadataStore::contains(std::string_view id) const {
@@ -83,38 +138,43 @@ bool MetadataStore::contains(std::string_view id) const {
 Status MetadataStore::put(const ObjectMeta& meta) {
   StageTimer stage(Stage::kMetadataLookup);
   Shard& shard = shard_for(meta.id);
+  std::uint64_t seq = 0;
   {
     std::lock_guard lock(shard.mu);
-    shard.map[meta.id] = meta;
+    Entry& entry = shard.map[meta.id];
+    entry.meta = meta;
+    seq = stage_put_locked(entry);
   }
-  return persist(meta);
+  return commit(seq);
 }
 
 Status MetadataStore::update(std::string_view id,
                              const std::function<bool(ObjectMeta&)>& fn) {
   StageTimer stage(Stage::kMetadataLookup);
   Shard& shard = shard_for(id);
-  ObjectMeta snapshot;
+  std::uint64_t seq = 0;
   {
     std::lock_guard lock(shard.mu);
     auto it = shard.map.find(std::string(id));
     if (it == shard.map.end()) return Status::NotFound("object metadata");
-    if (!fn(it->second)) return Status::Ok();
-    snapshot = it->second;
+    if (!fn(it->second.meta)) return Status::Ok();
+    seq = stage_put_locked(it->second);
   }
-  return persist(snapshot);
+  return commit(seq);
 }
 
 Status MetadataStore::erase(std::string_view id) {
   StageTimer stage(Stage::kMetadataLookup);
   Shard& shard = shard_for(id);
+  std::uint64_t seq = 0;
   {
     std::lock_guard lock(shard.mu);
-    if (shard.map.erase(std::string(id)) == 0) {
-      return Status::NotFound("object metadata");
-    }
+    auto it = shard.map.find(std::string(id));
+    if (it == shard.map.end()) return Status::NotFound("object metadata");
+    seq = stage_erase_locked(it->second);
+    shard.map.erase(it);
   }
-  return unpersist(id);
+  return commit(seq);
 }
 
 std::size_t MetadataStore::size() const {
@@ -134,7 +194,7 @@ void MetadataStore::for_each(
     {
       std::lock_guard lock(shard.mu);
       snapshot.reserve(shard.map.size());
-      for (const auto& [id, meta] : shard.map) snapshot.push_back(meta);
+      for (const auto& [id, entry] : shard.map) snapshot.push_back(entry.meta);
     }
     for (const auto& meta : snapshot) fn(meta);
   }

@@ -1,8 +1,9 @@
 // MetadataStore: the control layer's view of every object.
 //
 // Mirrors the prototype's BerkeleyDB-backed metadata layer: a sharded
-// in-memory map for the hot path plus optional metadb persistence so an
-// instance restart recovers object locations. Also maintains:
+// in-memory map for the hot path plus an optional metadb journal so an
+// instance restart recovers object locations. The maps are the only index:
+// the journal keeps no copy of any record. Also maintains:
 //   * a per-tier recency list giving O(1) `tierX.oldest` / `tierX.newest`
 //     (the selectors behind the paper's LRU/MRU policies, Fig. 5), and
 //   * a content-hash reference-count table backing the storeOnce dedup
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <list>
 #include <memory>
@@ -26,18 +28,17 @@ namespace tiera {
 
 class MetadataStore {
  public:
-  // `db` may be null (purely in-memory metadata, used by most benches).
-  explicit MetadataStore(std::unique_ptr<MetaDb> db = nullptr);
+  // Starts purely in-memory (used by most benches); open() adds the journal.
+  MetadataStore() = default;
 
-  // Attach persistence after construction (instance init path).
-  void attach_db(std::unique_ptr<MetaDb> db) { db_ = std::move(db); }
+  // Opens the metadata journal at `path`, replays it straight into the
+  // maps and rebuilds the recency and content indexes. Call once, before
+  // use.
+  Status open(std::string path, const MetaDbOptions& options);
 
   // Null when metadata is purely in-memory. Exposed so the watchdog can
   // probe journal progress (flushed batches vs staged records).
   MetaDb* db() { return db_.get(); }
-
-  // Loads persisted metadata (no-op without a db). Call once before use.
-  Status recover();
 
   // --- Object records --------------------------------------------------------
   std::optional<ObjectMeta> get(std::string_view id) const;
@@ -48,6 +49,10 @@ class MetadataStore {
 
   // Read-modify-write under the shard lock; returns NotFound when absent.
   // `fn` returning false aborts without writing.
+  //
+  // put/update/erase stage their journal record while still holding the
+  // shard lock, so the journal holds each id's records in the order the map
+  // changed; they wait for the commit after releasing it.
   Status update(std::string_view id,
                 const std::function<bool(ObjectMeta&)>& fn);
 
@@ -89,15 +94,26 @@ class MetadataStore {
 
  private:
   static constexpr std::size_t kShards = 16;
+  // The map entry: the record itself plus the size of its journal record,
+  // which becomes dead log bytes once the entry is overwritten or erased.
+  struct Entry {
+    ObjectMeta meta;
+    std::uint32_t record_bytes = 0;
+  };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, ObjectMeta> map;
+    std::unordered_map<std::string, Entry> map;
   };
   Shard& shard_for(std::string_view id);
   const Shard& shard_for(std::string_view id) const;
 
-  Status persist(const ObjectMeta& meta);
-  Status unpersist(std::string_view id);
+  // Journal helpers; the stage_* ones require the entry's shard lock.
+  std::uint64_t stage_put_locked(Entry& entry);
+  std::uint64_t stage_erase_locked(const Entry& entry);
+  Status commit(std::uint64_t seq);
+  // Rewrites the journal from the maps when it is mostly dead. Takes every
+  // shard lock in index order (lock order: shard.mu, then the journal).
+  Status compact();
 
   std::array<Shard, kShards> shards_;
 
@@ -112,6 +128,9 @@ class MetadataStore {
   std::unordered_map<std::string, std::set<std::string>> content_refs_;
 
   std::unique_ptr<MetaDb> db_;
+  // Journal bytes no live entry accounts for: superseded records and
+  // tombstones. Compared against the log size to trigger compaction.
+  std::atomic<std::uint64_t> dead_bytes_{0};
 };
 
 }  // namespace tiera

@@ -3,13 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <vector>
-
-#include "common/hash.h"
 #include "common/logging.h"
+#include "common/record_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/stage.h"
 
@@ -17,37 +12,12 @@ namespace tiera {
 
 namespace {
 
-// Record layout (little endian):
-//   u32 crc (over type..value)
-//   u8  type (1 = put, 2 = erase)
-//   u32 key_len
-//   u32 value_len
-//   key bytes, value bytes
-constexpr std::uint8_t kTypePut = 1;
-constexpr std::uint8_t kTypeErase = 2;
-constexpr std::size_t kRecordHeader = 4 + 1 + 4 + 4;
+using record_log::errno_status;
 
-std::uint64_t record_size(std::size_t key_len, std::size_t value_len) {
-  return kRecordHeader + key_len + value_len;
-}
-
-Status errno_status(const char* op) {
-  return Status::Internal(std::string("metadb ") + op + ": " +
-                          std::strerror(errno));
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+// Auto-compaction: rewrite once the log reaches this size...
+constexpr std::uint64_t kCompactMinBytes = 1 << 20;
+// ...and more than this fraction of it is dead.
+constexpr double kCompactDeadRatio = 0.5;
 
 }  // namespace
 
@@ -68,14 +38,12 @@ MetaDb::MetaDb(std::string path, MetaDbOptions options)
                               : Duration::zero()}) {
   MetricsRegistry& reg = MetricsRegistry::global();
   metrics_.puts = &reg.counter("tiera_metadb_puts_total");
-  metrics_.gets = &reg.counter("tiera_metadb_gets_total");
   metrics_.erases = &reg.counter("tiera_metadb_erases_total");
   metrics_.compactions = &reg.counter("tiera_metadb_compactions_total");
   metrics_.gc_batches = &reg.counter("tiera_metadb_group_commit_batches_total");
   metrics_.gc_records = &reg.counter("tiera_metadb_group_commit_records_total");
   metrics_.gc_fsyncs = &reg.counter("tiera_metadb_group_commit_fsyncs_total");
   metrics_.log_bytes = &reg.gauge("tiera_metadb_log_bytes");
-  metrics_.live_keys = &reg.gauge("tiera_metadb_live_keys");
   // A sticky journal failure is exactly the kind of state transition an
   // incident report needs on its timeline.
   journal_.set_error_observer([](const Status& error) {
@@ -92,112 +60,69 @@ MetaDb::~MetaDb() {
 }
 
 Result<std::unique_ptr<MetaDb>> MetaDb::open(std::string path,
-                                             MetaDbOptions options) {
+                                             MetaDbOptions options,
+                                             const ReplayFn& replay) {
   std::unique_ptr<MetaDb> db(new MetaDb(std::move(path), options));
-  TIERA_RETURN_IF_ERROR(db->replay());
+  Result<std::uint64_t> valid = record_log::replay_file(
+      db->path_, [&replay](std::string_view key, bool live, ByteView value,
+                           std::uint64_t) { replay(key, live, value); });
+  if (!valid.ok()) return valid.status();
+  db->log_bytes_ = *valid;
   TIERA_RETURN_IF_ERROR(db->open_log());
   return db;
 }
 
 Status MetaDb::open_log() {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) return errno_status("open");
+  if (fd_ < 0) return errno_status("metadb open");
   return Status::Ok();
 }
 
-Status MetaDb::replay() {
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::Ok();  // fresh database
-    return errno_status("open for replay");
-  }
-  Bytes log;
-  {
-    std::uint8_t buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        return errno_status("read");
-      }
-      if (n == 0) break;
-      log.insert(log.end(), buf, buf + n);
-    }
-  }
-  ::close(fd);
+std::uint32_t MetaDb::record_bytes(std::size_t key_len,
+                                   std::size_t value_len) {
+  return static_cast<std::uint32_t>(
+      record_log::record_bytes(key_len, value_len));
+}
 
-  std::size_t pos = 0;
-  std::size_t valid_end = 0;
-  while (pos + kRecordHeader <= log.size()) {
-    std::uint32_t crc, key_len, value_len;
-    std::memcpy(&crc, log.data() + pos, 4);
-    const std::uint8_t type = log[pos + 4];
-    std::memcpy(&key_len, log.data() + pos + 5, 4);
-    std::memcpy(&value_len, log.data() + pos + 9, 4);
-    const std::uint64_t body = std::uint64_t(key_len) + value_len;
-    if (pos + kRecordHeader + body > log.size()) break;  // torn tail
-    const ByteView payload(log.data() + pos + 4, 1 + 8 + body);
-    if (crc32c(payload) != crc) break;  // corrupt tail: stop replay here
-    const std::string key(
-        reinterpret_cast<const char*>(log.data() + pos + kRecordHeader),
-        key_len);
-    if (type == kTypePut) {
-      Bytes value(log.begin() + static_cast<long>(pos + kRecordHeader +
-                                                  key_len),
-                  log.begin() + static_cast<long>(pos + kRecordHeader +
-                                                  key_len + value_len));
-      auto it = index_.find(key);
-      if (it != index_.end()) {
-        live_bytes_ -= record_size(key.size(), it->second.size());
-        it->second = std::move(value);
-      } else {
-        index_.emplace(key, std::move(value));
-      }
-      live_bytes_ += record_size(key_len, value_len);
-    } else if (type == kTypeErase) {
-      auto it = index_.find(key);
-      if (it != index_.end()) {
-        live_bytes_ -= record_size(key.size(), it->second.size());
-        index_.erase(it);
-      }
-    } else {
-      break;  // unknown record type: treat as corruption boundary
-    }
-    pos += kRecordHeader + body;
-    valid_end = pos;
-  }
-  log_bytes_ = valid_end;
-  if (valid_end < log.size()) {
-    TIERA_LOG(kWarn, "metadb")
-        << "discarding " << (log.size() - valid_end)
-        << " torn/corrupt bytes at tail of " << path_;
-    if (::truncate(path_.c_str(), static_cast<off_t>(valid_end)) != 0) {
-      return errno_status("truncate");
-    }
-  }
-  return Status::Ok();
+std::uint64_t MetaDb::log_bytes() const {
+  std::lock_guard lock(mu_);
+  return log_bytes_;
+}
+
+bool MetaDb::wants_compaction(std::uint64_t dead_bytes) const {
+  const std::uint64_t log = log_bytes();
+  return log >= kCompactMinBytes &&
+         static_cast<double>(dead_bytes) >
+             kCompactDeadRatio * static_cast<double>(log);
 }
 
 std::uint64_t MetaDb::stage_record(std::uint8_t type, std::string_view key,
                                    ByteView value) {
+  // Journal cost attribution: encode + stage (here) and the group-commit
+  // wait (commit) both count as journal.append in the per-op breakdown.
+  StageTimer stage(Stage::kJournalAppend);
   Bytes rec;
-  rec.reserve(kRecordHeader + key.size() + value.size());
-  rec.resize(4);  // crc placeholder
-  rec.push_back(type);
-  const auto key_len = static_cast<std::uint32_t>(key.size());
-  const auto value_len = static_cast<std::uint32_t>(value.size());
-  rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&key_len),
-             reinterpret_cast<const std::uint8_t*>(&key_len) + 4);
-  rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&value_len),
-             reinterpret_cast<const std::uint8_t*>(&value_len) + 4);
-  append(rec, key);
-  append(rec, value);
-  const std::uint32_t crc = crc32c(ByteView(rec.data() + 4, rec.size() - 4));
-  std::memcpy(rec.data(), &crc, 4);
-
+  rec.reserve(record_log::record_bytes(key.size(), value.size()));
+  record_log::encode_record(type, key, value, rec);
+  std::lock_guard lock(mu_);
   log_bytes_ += rec.size();
+  metrics_.log_bytes->set(static_cast<double>(log_bytes_));
   return journal_.stage(as_view(rec));
+}
+
+std::uint64_t MetaDb::stage_put(std::string_view key, ByteView value) {
+  metrics_.puts->inc();
+  return stage_record(record_log::kPut, key, value);
+}
+
+std::uint64_t MetaDb::stage_erase(std::string_view key) {
+  metrics_.erases->inc();
+  return stage_record(record_log::kErase, key, {});
+}
+
+Status MetaDb::commit(std::uint64_t seq) {
+  StageTimer stage(Stage::kJournalAppend);
+  return journal_.commit(seq);
 }
 
 // The group-commit flush: one write (and one fsync when configured) for a
@@ -206,122 +131,20 @@ std::uint64_t MetaDb::stage_record(std::uint8_t type, std::string_view key,
 Status MetaDb::flush_batch(ByteView batch, std::uint64_t records) {
   metrics_.gc_batches->inc();
   metrics_.gc_records->inc(records);
-  if (!write_all(fd_, batch.data(), batch.size())) {
-    return errno_status("write");
-  }
+  if (!record_log::write_all(fd_, batch)) return errno_status("metadb write");
   if (options_.sync_every_write) {
-    if (::fsync(fd_) != 0) return errno_status("fsync");
+    if (::fsync(fd_) != 0) return errno_status("metadb fsync");
     fsyncs_.fetch_add(1, std::memory_order_relaxed);
     metrics_.gc_fsyncs->inc();
   }
   return Status::Ok();
 }
 
-Status MetaDb::put(std::string_view key, ByteView value) {
-  // Journal cost attribution: encode + stage + group-commit wait all count
-  // as journal.append in the per-op stage breakdown.
-  StageTimer stage(Stage::kJournalAppend);
-  std::uint64_t seq = 0;
-  bool compact_needed = false;
-  {
-    std::lock_guard lock(mu_);
-    metrics_.puts->inc();
-    seq = stage_record(kTypePut, key, value);
-    auto it = index_.find(std::string(key));
-    if (it != index_.end()) {
-      live_bytes_ -= record_size(key.size(), it->second.size());
-      it->second.assign(value.begin(), value.end());
-    } else {
-      index_.emplace(std::string(key), Bytes(value.begin(), value.end()));
-    }
-    live_bytes_ += record_size(key.size(), value.size());
-    metrics_.log_bytes->set(static_cast<double>(log_bytes_));
-    metrics_.live_keys->set(static_cast<double>(index_.size()));
-    compact_needed =
-        log_bytes_ >= options_.auto_compact_min_bytes && log_bytes_ > 0 &&
-        static_cast<double>(log_bytes_ - live_bytes_) >
-            options_.auto_compact_ratio * static_cast<double>(log_bytes_);
-  }
-  TIERA_RETURN_IF_ERROR(journal_.commit(seq));
-  if (compact_needed) return compact();
-  return Status::Ok();
-}
-
-Result<Bytes> MetaDb::get(std::string_view key) const {
-  std::lock_guard lock(mu_);
-  metrics_.gets->inc();
-  auto it = index_.find(std::string(key));
-  if (it == index_.end()) return Status::NotFound("metadb key");
-  return it->second;
-}
-
-bool MetaDb::contains(std::string_view key) const {
-  std::lock_guard lock(mu_);
-  return index_.count(std::string(key)) > 0;
-}
-
-Status MetaDb::erase(std::string_view key) {
-  StageTimer stage(Stage::kJournalAppend);
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard lock(mu_);
-    metrics_.erases->inc();
-    auto it = index_.find(std::string(key));
-    if (it == index_.end()) return Status::NotFound("metadb key");
-    seq = stage_record(kTypeErase, key, {});
-    live_bytes_ -= record_size(key.size(), it->second.size());
-    index_.erase(it);
-    metrics_.log_bytes->set(static_cast<double>(log_bytes_));
-    metrics_.live_keys->set(static_cast<double>(index_.size()));
-  }
-  return journal_.commit(seq);
-}
-
-void MetaDb::scan(
-    const std::function<bool(std::string_view, ByteView)>& fn) const {
-  std::lock_guard lock(mu_);
-  for (const auto& [key, value] : index_) {
-    if (!fn(key, as_view(value))) return;
-  }
-}
-
-void MetaDb::scan_prefix(
-    std::string_view prefix,
-    const std::function<bool(std::string_view, ByteView)>& fn) const {
-  std::lock_guard lock(mu_);
-  for (const auto& [key, value] : index_) {
-    if (key.size() >= prefix.size() &&
-        std::string_view(key).substr(0, prefix.size()) == prefix) {
-      if (!fn(key, as_view(value))) return;
-    }
-  }
-}
-
-std::size_t MetaDb::size() const {
-  std::lock_guard lock(mu_);
-  return index_.size();
-}
-
-std::uint64_t MetaDb::log_bytes() const {
-  std::lock_guard lock(mu_);
-  return log_bytes_;
-}
-
-std::uint64_t MetaDb::dead_bytes() const {
-  std::lock_guard lock(mu_);
-  return log_bytes_ - live_bytes_;
-}
-
-Status MetaDb::compact() {
-  std::lock_guard lock(mu_);
-  return compact_locked();
-}
-
 Status MetaDb::sync() {
   // Flush anything still staged in the group-commit buffer, then fsync.
   TIERA_RETURN_IF_ERROR(journal_.drain());
   std::lock_guard lock(mu_);
-  if (fd_ >= 0 && ::fsync(fd_) != 0) return errno_status("fsync");
+  if (fd_ >= 0 && ::fsync(fd_) != 0) return errno_status("metadb fsync");
   return Status::Ok();
 }
 
@@ -335,55 +158,49 @@ MetaDb::JournalStats MetaDb::journal_stats() const {
   return out;
 }
 
-Status MetaDb::compact_locked() {
+Status MetaDb::compact(
+    const std::function<void(const LiveVisitor&)>& for_each_live) {
   // Drain staged records to the old fd before swapping it; mu_ is held, so
-  // no new records can stage while the swap happens and no flush can be in
-  // flight once drain returns.
+  // no new records can stage and no flush can be in flight once drain
+  // returns.
+  std::lock_guard lock(mu_);
   TIERA_RETURN_IF_ERROR(journal_.drain());
   metrics_.compactions->inc();
   const std::string tmp_path = path_ + ".compact";
   const int tmp_fd =
       ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tmp_fd < 0) return errno_status("open compact temp");
+  if (tmp_fd < 0) return errno_status("metadb open compact temp");
 
   std::uint64_t new_bytes = 0;
-  for (const auto& [key, value] : index_) {
-    Bytes rec;
-    rec.resize(4);
-    rec.push_back(kTypePut);
-    const auto key_len = static_cast<std::uint32_t>(key.size());
-    const auto value_len = static_cast<std::uint32_t>(value.size());
-    rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&key_len),
-               reinterpret_cast<const std::uint8_t*>(&key_len) + 4);
-    rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&value_len),
-               reinterpret_cast<const std::uint8_t*>(&value_len) + 4);
-    append(rec, std::string_view(key));
-    append(rec, as_view(value));
-    const std::uint32_t crc = crc32c(ByteView(rec.data() + 4, rec.size() - 4));
-    std::memcpy(rec.data(), &crc, 4);
-    if (!write_all(tmp_fd, rec.data(), rec.size())) {
-      ::close(tmp_fd);
-      ::unlink(tmp_path.c_str());
-      return errno_status("write compact temp");
-    }
+  std::uint64_t records = 0;
+  bool written = true;
+  Bytes rec;
+  for_each_live([&](std::string_view key, ByteView value) {
+    if (!written) return;
+    rec.clear();
+    record_log::encode_record(record_log::kPut, key, value, rec);
+    written = record_log::write_all(tmp_fd, as_view(rec));
     new_bytes += rec.size();
-  }
-  if (::fsync(tmp_fd) != 0) {
+    ++records;
+  });
+  if (!written || ::fsync(tmp_fd) != 0) {
+    const Status error = errno_status("metadb write compact temp");
     ::close(tmp_fd);
     ::unlink(tmp_path.c_str());
-    return errno_status("fsync compact temp");
+    return error;
   }
   ::close(tmp_fd);
   if (::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+    const Status error = errno_status("metadb rename compacted log");
     ::unlink(tmp_path.c_str());
-    return errno_status("rename compacted log");
+    return error;
   }
   if (fd_ >= 0) ::close(fd_);
   TIERA_RETURN_IF_ERROR(open_log());
   log_bytes_ = new_bytes;
-  live_bytes_ = new_bytes;
+  metrics_.log_bytes->set(static_cast<double>(new_bytes));
   TIERA_LOG(kInfo, "metadb") << "compacted " << path_ << " to " << new_bytes
-                             << " bytes (" << index_.size() << " records)";
+                             << " bytes (" << records << " records)";
   return Status::Ok();
 }
 

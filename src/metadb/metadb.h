@@ -1,10 +1,13 @@
-// metadb: embedded durable key-value store.
+// metadb: the durable journal behind object metadata.
 //
 // Plays the role BerkeleyDB plays in the Tiera prototype: the control layer
 // persists all object metadata here so an instance can restart without losing
-// track of where objects live. Design: append-only log with CRC-framed
-// records, full in-memory index, log replay on open, and explicit compaction
-// that rewrites the live set. Single-process, thread-safe.
+// track of where objects live. MetaDb is a journal only — an append-only log
+// in the shared record_log format with group commit, replay on open and
+// compaction — and keeps no copy of any record in memory. Its owner (the
+// MetadataStore) is the index: it receives every record through replay,
+// stages writes in the order its maps change, counts dead bytes, and
+// supplies the live set when the log is rewritten.
 #pragma once
 
 #include <atomic>
@@ -13,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -27,13 +29,9 @@ struct MetaDbOptions {
   // fsync after every acknowledged append. Off by default: the paper's
   // durability story for metadata is periodic persistence, and tests
   // exercise both modes. With group commit, "every write" means every
-  // acknowledged batch — no put/erase returns before its record is synced,
+  // acknowledged batch — no commit returns before its record is synced,
   // but concurrent writers share one fsync.
   bool sync_every_write = false;
-  // Compact automatically when dead bytes exceed this fraction of the log.
-  double auto_compact_ratio = 0.5;
-  // Minimum log size before auto-compaction triggers.
-  std::uint64_t auto_compact_min_bytes = 1 << 20;
   // Group commit: flush once this many bytes are staged...
   std::uint64_t journal_batch_bytes = 256 << 10;
   // ...or after the batch leader has lingered this long for followers.
@@ -45,40 +43,52 @@ struct MetaDbOptions {
 
 class MetaDb {
  public:
+  // Called once per replayed record, in log order: a put (`live`, with its
+  // value) or an erase. The views are valid only for the duration of the
+  // call.
+  using ReplayFn =
+      std::function<void(std::string_view key, bool live, ByteView value)>;
+
   ~MetaDb();
 
   MetaDb(const MetaDb&) = delete;
   MetaDb& operator=(const MetaDb&) = delete;
 
-  // Opens (creating if needed) the database at `path`. Replays the log;
-  // torn/corrupt tail records are discarded (crash recovery).
+  // Opens (creating if needed) the journal at `path` and replays it through
+  // `replay`; a torn/corrupt tail is truncated away (crash recovery).
   static Result<std::unique_ptr<MetaDb>> open(std::string path,
-                                              MetaDbOptions options = {});
+                                              MetaDbOptions options,
+                                              const ReplayFn& replay);
 
-  Status put(std::string_view key, ByteView value);
-  Status put(std::string_view key, std::string_view value) {
-    return put(key, as_view(value));
-  }
-  Result<Bytes> get(std::string_view key) const;
-  Status erase(std::string_view key);
-  bool contains(std::string_view key) const;
+  // Writes are two steps. stage_put/stage_erase encode a record and append
+  // it to the group-commit buffer, returning its sequence number; the log
+  // holds records in staging order, so the owner stages under the lock
+  // that orders its own index updates. commit(seq) then blocks, outside
+  // that lock, until the record is written (and synced when configured).
+  std::uint64_t stage_put(std::string_view key, ByteView value);
+  std::uint64_t stage_erase(std::string_view key);
+  Status commit(std::uint64_t seq);
 
-  // Visit every live (key, value); `fn` returning false stops the scan.
-  void scan(const std::function<bool(std::string_view, ByteView)>& fn) const;
-  void scan_prefix(
-      std::string_view prefix,
-      const std::function<bool(std::string_view, ByteView)>& fn) const;
+  // Bytes a record with this key and value takes in the log. Owners keep
+  // it per live key to count dead bytes.
+  static std::uint32_t record_bytes(std::size_t key_len,
+                                    std::size_t value_len);
 
-  std::size_t size() const;
-  std::uint64_t log_bytes() const;
-  std::uint64_t dead_bytes() const;
+  // True once the log holds at least 1 MiB and more than half of it is
+  // dead (superseded records and tombstones).
+  bool wants_compaction(std::uint64_t dead_bytes) const;
 
-  // Rewrite the log with only live records.
-  Status compact();
+  // Rewrites the log with exactly the records `for_each_live` yields. The
+  // owner must stop staging while it runs, or records staged meanwhile are
+  // lost from the rewritten log.
+  using LiveVisitor = std::function<void(std::string_view key, ByteView value)>;
+  Status compact(const std::function<void(const LiveVisitor&)>& for_each_live);
+
   // Flush + fsync the log.
   Status sync();
 
-  const std::string& path() const { return path_; }
+  // Total record bytes in the log (live + dead).
+  std::uint64_t log_bytes() const;
 
   // Group-commit telemetry (also exported as the
   // tiera_metadb_group_commit_{batches,records,fsyncs}_total counters).
@@ -97,16 +107,12 @@ class MetaDb {
   std::uint64_t journal_pending() const { return journal_.pending_records(); }
 
  private:
-  explicit MetaDb(std::string path, MetaDbOptions options);
+  MetaDb(std::string path, MetaDbOptions options);
 
   Status open_log();
-  Status replay();
-  // Encodes and stages a record; requires mu_ held (journal order must
-  // match index-update order). Returns the sequence to commit().
   std::uint64_t stage_record(std::uint8_t type, std::string_view key,
                              ByteView value);
   Status flush_batch(ByteView batch, std::uint64_t records);
-  Status compact_locked();  // requires mu_ held
 
   const std::string path_;
   const MetaDbOptions options_;
@@ -114,27 +120,24 @@ class MetaDb {
   // Registry series (`tiera_metadb_*`), looked up once at open.
   struct Metrics {
     Counter* puts;
-    Counter* gets;
     Counter* erases;
     Counter* compactions;
     Counter* gc_batches;
     Counter* gc_records;
     Counter* gc_fsyncs;
     Gauge* log_bytes;
-    Gauge* live_keys;
   };
   Metrics metrics_;
 
+  // Orders staging against compaction (lock order: the owner's lock, then
+  // mu_). Writers stage under mu_ and commit outside it; compaction drains
+  // the journal under mu_, which excludes new stagers, before swapping fd_,
+  // so no flush can be in flight while the fd changes.
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Bytes> index_;
   int fd_ = -1;
   std::uint64_t log_bytes_ = 0;
-  std::uint64_t live_bytes_ = 0;
   std::atomic<std::uint64_t> fsyncs_{0};
   // Declared last: the flush function touches fd_ and the counters above.
-  // Writers stage under mu_ and commit outside it; compaction drains the
-  // journal (under mu_, which excludes new stagers) before swapping fd_,
-  // so no flush can be in flight while the fd changes.
   GroupCommitter journal_;
 };
 

@@ -60,7 +60,7 @@ class WireReader {
     return Status::Ok();
   }
   Status str(std::string& s) {
-    std::uint32_t n;
+    std::uint32_t n = 0;
     TIERA_RETURN_IF_ERROR(u32(n));
     if (end_ - p_ < n) return truncated();
     s.assign(reinterpret_cast<const char*>(p_), n);
@@ -68,7 +68,7 @@ class WireReader {
     return Status::Ok();
   }
   Status bytes(Bytes& b) {
-    std::uint32_t n;
+    std::uint32_t n = 0;
     TIERA_RETURN_IF_ERROR(u32(n));
     if (end_ - p_ < n) return truncated();
     b.assign(p_, p_ + n);

@@ -12,6 +12,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/record_log.h"
 
 namespace fs = std::filesystem;
 
@@ -20,11 +21,7 @@ namespace tiera {
 namespace {
 
 // Dead-record accounting mirrors the log's framing: header + key + value.
-constexpr std::uint64_t kLogRecordHeader = 4 + 1 + 4 + 4;
-
-std::uint64_t record_bytes(std::size_t key_len, std::size_t value_len) {
-  return kLogRecordHeader + key_len + value_len;
-}
+using record_log::record_bytes;
 
 // Compact once the log passes this size with mostly dead bytes.
 constexpr std::uint64_t kCompactMinBytes = 8ull << 20;

@@ -11,56 +11,14 @@
 #include <filesystem>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
+#include "common/record_log.h"
 
 namespace fs = std::filesystem;
 
 namespace tiera {
 
-namespace {
-
-constexpr std::uint8_t kTypePut = 1;
-constexpr std::uint8_t kTypeTombstone = 2;
-constexpr std::size_t kRecordHeader = 4 + 1 + 4 + 4;
-
-Status errno_status(const char* op) {
-  return Status::Internal(std::string("segment log ") + op + ": " +
-                          std::strerror(errno));
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-Bytes encode_record(std::uint8_t type, std::string_view key, ByteView value) {
-  Bytes rec;
-  rec.reserve(kRecordHeader + key.size() + value.size());
-  rec.resize(4);  // crc placeholder
-  rec.push_back(type);
-  const auto key_len = static_cast<std::uint32_t>(key.size());
-  const auto value_len = static_cast<std::uint32_t>(value.size());
-  rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&key_len),
-             reinterpret_cast<const std::uint8_t*>(&key_len) + 4);
-  rec.insert(rec.end(), reinterpret_cast<const std::uint8_t*>(&value_len),
-             reinterpret_cast<const std::uint8_t*>(&value_len) + 4);
-  append(rec, key);
-  append(rec, value);
-  const std::uint32_t crc = crc32c(ByteView(rec.data() + 4, rec.size() - 4));
-  std::memcpy(rec.data(), &crc, 4);
-  return rec;
-}
-
-}  // namespace
+using record_log::errno_status;
 
 SegmentLog::SegmentLog(std::string directory, SegmentLogOptions options)
     : directory_(std::move(directory)), options_(options) {}
@@ -103,84 +61,38 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::open(
   }
   std::sort(segments.begin(), segments.end());
 
-  for (const std::uint64_t segment : segments) {
-    TIERA_RETURN_IF_ERROR(log->replay_segment(segment, replay));
-  }
-
+  // Every replayed segment keeps an fd: values in older segments stay
+  // readable after a reopen, and compaction can copy out of them.
   std::unique_lock lock(log->mu_);
+  for (const std::uint64_t segment : segments) {
+    Result<std::uint64_t> valid = record_log::replay_file(
+        log->segment_path(segment),
+        [&](std::string_view key, bool live, ByteView value,
+            std::uint64_t value_offset) {
+          replay(key, live,
+                 LogLocation{segment, value_offset,
+                             static_cast<std::uint32_t>(value.size())});
+        });
+    if (!valid.ok()) return valid.status();
+    log->log_bytes_ += *valid;
+    TIERA_RETURN_IF_ERROR(log->open_segment_locked(segment));
+  }
   log->current_segment_ = segments.empty() ? 1 : segments.back();
   TIERA_RETURN_IF_ERROR(log->open_segment_locked(log->current_segment_));
   struct stat st {};
   if (::fstat(log->segment_fds_[log->current_segment_], &st) != 0) {
-    return errno_status("fstat");
+    return errno_status("segment log fstat");
   }
   log->current_offset_ = static_cast<std::uint64_t>(st.st_size);
   lock.unlock();
   return log;
 }
 
-Status SegmentLog::replay_segment(std::uint64_t segment,
-                                  const ReplayFn& replay) {
-  const std::string path = segment_path(segment);
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status("open for replay");
-  Bytes data;
-  {
-    std::uint8_t buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        return errno_status("read for replay");
-      }
-      if (n == 0) break;
-      data.insert(data.end(), buf, buf + n);
-    }
-  }
-  ::close(fd);
-
-  std::size_t pos = 0;
-  std::size_t valid_end = 0;
-  while (pos + kRecordHeader <= data.size()) {
-    std::uint32_t crc, key_len, value_len;
-    std::memcpy(&crc, data.data() + pos, 4);
-    const std::uint8_t type = data[pos + 4];
-    std::memcpy(&key_len, data.data() + pos + 5, 4);
-    std::memcpy(&value_len, data.data() + pos + 9, 4);
-    const std::uint64_t body = std::uint64_t(key_len) + value_len;
-    if (pos + kRecordHeader + body > data.size()) break;  // torn tail
-    const ByteView payload(data.data() + pos + 4, 1 + 8 + body);
-    if (crc32c(payload) != crc) break;  // corrupt tail: stop here
-    if (type != kTypePut && type != kTypeTombstone) break;
-    const std::string_view key(
-        reinterpret_cast<const char*>(data.data() + pos + kRecordHeader),
-        key_len);
-    LogLocation loc;
-    loc.segment = segment;
-    loc.offset = pos + kRecordHeader + key_len;
-    loc.length = value_len;
-    replay(key, type == kTypePut, loc);
-    pos += kRecordHeader + body;
-    valid_end = pos;
-  }
-  log_bytes_ += valid_end;
-  if (valid_end < data.size()) {
-    TIERA_LOG(kWarn, "store")
-        << "segment log discarding " << (data.size() - valid_end)
-        << " torn/corrupt bytes at tail of " << path;
-    if (::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
-      return errno_status("truncate");
-    }
-  }
-  return Status::Ok();
-}
-
 Status SegmentLog::open_segment_locked(std::uint64_t segment) {
   if (segment_fds_.count(segment)) return Status::Ok();
   const int fd = ::open(segment_path(segment).c_str(),
                         O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return errno_status("open segment");
+  if (fd < 0) return errno_status("segment log open");
   segment_fds_[segment] = fd;
   return Status::Ok();
 }
@@ -196,12 +108,16 @@ Status SegmentLog::append_record_locked(std::uint8_t type,
                                         std::string_view key, ByteView value,
                                         LogLocation* loc) {
   TIERA_RETURN_IF_ERROR(roll_if_needed_locked());
-  const Bytes rec = encode_record(type, key, value);
+  Bytes rec;
+  rec.reserve(record_log::record_bytes(key.size(), value.size()));
+  record_log::encode_record(type, key, value, rec);
   const int fd = segment_fds_[current_segment_];
-  if (!write_all(fd, rec.data(), rec.size())) return errno_status("write");
+  if (!record_log::write_all(fd, as_view(rec))) {
+    return errno_status("segment log write");
+  }
   if (loc) {
     loc->segment = current_segment_;
-    loc->offset = current_offset_ + kRecordHeader + key.size();
+    loc->offset = current_offset_ + record_log::kHeaderBytes + key.size();
     loc->length = static_cast<std::uint32_t>(value.size());
   }
   current_offset_ += rec.size();
@@ -212,17 +128,22 @@ Status SegmentLog::append_record_locked(std::uint8_t type,
 Result<LogLocation> SegmentLog::append(std::string_view key, ByteView value) {
   std::unique_lock lock(mu_);
   LogLocation loc;
-  TIERA_RETURN_IF_ERROR(append_record_locked(kTypePut, key, value, &loc));
+  TIERA_RETURN_IF_ERROR(
+      append_record_locked(record_log::kPut, key, value, &loc));
   return loc;
 }
 
 Status SegmentLog::append_tombstone(std::string_view key) {
   std::unique_lock lock(mu_);
-  return append_record_locked(kTypeTombstone, key, {}, nullptr);
+  return append_record_locked(record_log::kErase, key, {}, nullptr);
 }
 
 Result<Bytes> SegmentLog::read(const LogLocation& loc) const {
   std::shared_lock lock(mu_);
+  return read_locked(loc);
+}
+
+Result<Bytes> SegmentLog::read_locked(const LogLocation& loc) const {
   auto it = segment_fds_.find(loc.segment);
   if (it == segment_fds_.end()) {
     return Status::NotFound("segment log: no such segment");
@@ -235,7 +156,7 @@ Result<Bytes> SegmentLog::read(const LogLocation& loc) const {
                 static_cast<off_t>(loc.offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_status("pread");
+      return errno_status("segment log pread");
     }
     if (n == 0) return Status::Internal("segment log: short read");
     done += static_cast<std::size_t>(n);
@@ -247,7 +168,7 @@ Status SegmentLog::sync() {
   std::unique_lock lock(mu_);
   auto it = segment_fds_.find(current_segment_);
   if (it != segment_fds_.end() && ::fsync(it->second) != 0) {
-    return errno_status("fsync");
+    return errno_status("segment log fsync");
   }
   return Status::Ok();
 }
@@ -271,26 +192,14 @@ Status SegmentLog::compact(
   for_each_live([&](std::string_view key, const LogLocation& loc) {
     if (!status.ok()) return;
     // Read from the old location (old segment fds are still open).
-    auto it = segment_fds_.find(loc.segment);
-    if (it == segment_fds_.end()) {
-      status = Status::Internal("segment log compact: missing segment");
+    Result<Bytes> value = read_locked(loc);
+    if (!value.ok()) {
+      status = value.status();
       return;
     }
-    Bytes value(loc.length);
-    std::size_t done = 0;
-    while (done < loc.length) {
-      const ssize_t n =
-          ::pread(it->second, value.data() + done, loc.length - done,
-                  static_cast<off_t>(loc.offset + done));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        status = errno_status("compact pread");
-        return;
-      }
-      done += static_cast<std::size_t>(n);
-    }
     LogLocation new_loc;
-    status = append_record_locked(kTypePut, key, as_view(value), &new_loc);
+    status =
+        append_record_locked(record_log::kPut, key, as_view(*value), &new_loc);
     if (status.ok()) update(key, new_loc);
   });
   if (!status.ok()) return status;
@@ -298,7 +207,9 @@ Status SegmentLog::compact(
   // Make the copies durable before deleting their sources.
   for (auto it = segment_fds_.lower_bound(first_new);
        it != segment_fds_.end(); ++it) {
-    if (::fsync(it->second) != 0) return errno_status("compact fsync");
+    if (::fsync(it->second) != 0) {
+      return errno_status("segment log compact fsync");
+    }
   }
   for (auto it = segment_fds_.begin();
        it != segment_fds_.end() && it->first < first_new;) {

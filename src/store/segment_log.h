@@ -3,14 +3,13 @@
 // The original FileTier wrote one file per object (open + write + close +
 // rename), which costs ~250µs per 4K PUT on ext4 — the entire tier.io stage
 // of the hot path. The segment log replaces that with a single buffered
-// append to an already-open segment file (~6µs), the same shape the metadata
-// journal uses: CRC-framed records, replay on open with torn-tail
-// truncation, and stop-the-world compaction that rewrites the live set into
-// fresh segments.
+// append to an already-open segment file (~6µs). Records use the shared
+// CRC-framed codec (common/record_log.h) that the metadata journal also
+// uses, with the same replay-on-open and torn-tail truncation; compaction is
+// stop-the-world and rewrites the live set into fresh segments.
 //
-// Layout: `directory/seg-<n>.log`, each up to segment_bytes of
-//   u32 crc (over type..value) | u8 type (1=put, 2=tombstone) |
-//   u32 key_len | u32 value_len | key | value
+// Layout: `directory/seg-<n>.log`, each up to segment_bytes of record_log
+// records (type 1 = put, type 2 = tombstone).
 //
 // Values are located by (segment, offset, length) and served with pread, so
 // reads never seek the write fd and run concurrently under a shared lock.
@@ -54,8 +53,8 @@ class SegmentLog {
                                       const LogLocation& loc)>;
 
   // Opens (creating if needed) the log under `directory` and replays every
-  // segment in order. A torn or corrupt tail in the last segment is
-  // truncated away (crash recovery), matching the metadata journal.
+  // segment in order, keeping each one open for reads. A torn or corrupt
+  // tail is truncated away (crash recovery), matching the metadata journal.
   static Result<std::unique_ptr<SegmentLog>> open(std::string directory,
                                                   SegmentLogOptions options,
                                                   const ReplayFn& replay);
@@ -97,7 +96,8 @@ class SegmentLog {
   Status roll_if_needed_locked();
   Status append_record_locked(std::uint8_t type, std::string_view key,
                               ByteView value, LogLocation* loc);
-  Status replay_segment(std::uint64_t segment, const ReplayFn& replay);
+  // pread of one value; requires mu_ held (shared or exclusive).
+  Result<Bytes> read_locked(const LogLocation& loc) const;
 
   const std::string directory_;
   const SegmentLogOptions options_;

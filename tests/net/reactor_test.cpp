@@ -88,11 +88,10 @@ Bytes frame_request(std::uint64_t id, std::uint8_t method, ByteView body) {
   w.u8(method);
   Bytes payload = w.take();
   append(payload, body);
-  Bytes frame;
   const auto len = static_cast<std::uint32_t>(payload.size());
-  frame.insert(frame.end(), reinterpret_cast<const std::uint8_t*>(&len),
-               reinterpret_cast<const std::uint8_t*>(&len) + 4);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  Bytes frame(4);
+  std::memcpy(frame.data(), &len, 4);
+  append(frame, as_view(payload));
   return frame;
 }
 

@@ -25,9 +25,9 @@ TEST(WireTest, RoundTripAllTypes) {
   w.bytes(as_view(std::string_view("raw\0data", 8)));
 
   WireReader r(as_view(w.data()));
-  std::uint8_t a;
-  std::uint32_t b;
-  std::uint64_t c;
+  std::uint8_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t c = 0;
   std::string s;
   Bytes raw;
   ASSERT_TRUE(r.u8(a).ok());

@@ -114,7 +114,9 @@ TEST(CostMeterTest, RuleMovesChargeTheRuleAndStageSourceEgress) {
   snap = meter.snapshot();
   double ledger = 0;
   for (const auto& tier : snap.tiers) {
-    if (tier.tier == "rm-m1") EXPECT_NEAR(tier.egress_dollars, 0.05, 1e-9);
+    if (tier.tier == "rm-m1") {
+      EXPECT_NEAR(tier.egress_dollars, 0.05, 1e-9);
+    }
     ledger += tier.total();
   }
   EXPECT_NEAR(snap.total_dollars, ledger, 1e-12);

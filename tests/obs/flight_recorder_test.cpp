@@ -136,7 +136,9 @@ TEST(FlightRecorderTest, ConcurrentWritersProduceNoTornReads) {
   }
   for (int pass = 0; pass < 50; ++pass) {
     for (const FlightEvent& ev : recorder.merged()) {
-      if (std::string(ev.label) == "fr-race") EXPECT_EQ(ev.a, ev.b);
+      if (std::string(ev.label) == "fr-race") {
+        EXPECT_EQ(ev.a, ev.b);
+      }
     }
   }
   stop.store(true, std::memory_order_relaxed);

@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 #include <thread>
 
 #include "test_util.h"
@@ -160,6 +163,77 @@ TEST(SegmentLogTest, RollsToNewSegmentsAndReplaysInOrder) {
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, make_payload(512, 24 + k)) << key;
   }
+}
+
+// Values in every segment, not just the last, stay readable after a
+// reopen (the log must keep a descriptor per replayed segment).
+TEST(SegmentLogTest, OlderSegmentsReadableAfterReopen) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  SegmentLogOptions options;
+  options.segment_bytes = 4 << 10;
+  constexpr int kKeys = 40;  // 40 x ~530 B spans five segments
+  {
+    Index scratch;
+    auto log = open_with_index(path, scratch, options);
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE((*log)
+                      ->append("k" + std::to_string(i),
+                               as_view(make_payload(512, i)))
+                      .ok());
+    }
+  }
+  Index index;
+  auto log = open_with_index(path, index, options);
+  ASSERT_TRUE(log.ok());
+  ASSERT_EQ(index.size(), static_cast<std::size_t>(kKeys));
+  std::set<std::uint64_t> segments;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    segments.insert(index[key].segment);
+    auto got = (*log)->read(index[key]);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(*got, make_payload(512, i)) << key;
+  }
+  EXPECT_GE(segments.size(), 3u);
+}
+
+// A segment whose bytes are spelled out in the record layout (put k1=abc,
+// tombstone k1, put k2="") replays with value locations framing the bytes.
+TEST(SegmentLogTest, HandWrittenSegmentReplays) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  fs::create_directories(path);
+  const std::string bytes(
+      "\x0b\xe9\xe1\x4e" "\x01" "\x02\x00\x00\x00" "\x03\x00\x00\x00" "k1"
+      "abc"
+      "\xa5\x2a\x79\xf9" "\x02" "\x02\x00\x00\x00" "\x00\x00\x00\x00" "k1"
+      "\xe3\xb7\x57\x56" "\x01" "\x02\x00\x00\x00" "\x00\x00\x00\x00" "k2",
+      18 + 15 + 15);
+  {
+    std::ofstream out(path + "/seg-1.log", std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::vector<std::pair<std::string, bool>> seen;
+  LogLocation first;
+  auto log = SegmentLog::open(
+      path, {},
+      [&](std::string_view key, bool live, const LogLocation& loc) {
+        if (seen.empty()) first = loc;
+        seen.emplace_back(std::string(key), live);
+      });
+  ASSERT_TRUE(log.ok());
+  const std::vector<std::pair<std::string, bool>> expected = {
+      {"k1", true}, {"k1", false}, {"k2", true}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(first.segment, 1u);
+  EXPECT_EQ(first.offset, 15u);  // header (13) + "k1"
+  EXPECT_EQ(first.length, 3u);
+  auto got = (*log)->read(first);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(to_string(as_view(*got)), "abc");
+  EXPECT_EQ((*log)->log_bytes(), bytes.size());
 }
 
 TEST(SegmentLogTest, CompactionDropsDeadBytesAndPreservesValues) {
