@@ -110,15 +110,15 @@ Bytes chacha_encrypt(ByteView plain, const ChaChaKey& key,
   std::memcpy(nonce, &a, 8);
   std::memcpy(nonce + 8, &b, 4);
 
-  Bytes out;
+  // magic | nonce | ciphertext | tag.
+  Bytes out(kHeaderSize);
+  std::memcpy(out.data(), kMagic, 4);
+  std::memcpy(out.data() + 4, nonce, kNonceSize);
   out.reserve(kHeaderSize + plain.size() + kTagSize);
-  append(out, ByteView(kMagic, 4));
-  append(out, ByteView(nonce, kNonceSize));
-  const std::size_t cipher_off = out.size();
   append(out, plain);
-  xor_stream(out.data() + cipher_off, plain.size(), key, nonce);
-  const auto tag = compute_tag(
-      key, nonce, ByteView(out.data() + cipher_off, plain.size()));
+  std::uint8_t* cipher = out.data() + kHeaderSize;
+  xor_stream(cipher, plain.size(), key, nonce);
+  const auto tag = compute_tag(key, nonce, ByteView(cipher, plain.size()));
   append(out, ByteView(tag.data(), tag.size()));
   return out;
 }

@@ -257,6 +257,9 @@ Status TieraInstance::put(std::string_view id, ByteView data,
   TraceScope span;
   OpStageScope stage_scope(StageOp::kPut);
   Stopwatch watch;
+  // Every metadata write below, the rules' included, stages its journal
+  // record and the PUT waits for one group commit at the end.
+  MetadataStore::CommitScope journal(meta_);
   const std::string object_id(id);
 
   // Objects are immutable but may be overwritten. Overwrite happens in
@@ -319,24 +322,16 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     control_->evaluate_thresholds();
   }
 
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  stats_.put_latency.record(watch.elapsed());
-
   if (!ctx.stored) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_put(watch.elapsed(), "", false);
-    tracer_.record(span, TraceOp::kPut, "", object_id, "", false);
-    record_flight_op(FlightOp::kPut, object_id, StatusCode::kUnavailable,
-                     watch.elapsed());
     if (stale_locations.empty()) (void)meta_.erase(object_id);
-    return Status::Unavailable("no tier accepted object " + object_id);
-  }
-  // Drop stale copies left in tiers the new placement did not touch (the
-  // overwrite landed elsewhere); same storage key, so tiers that were
-  // re-stored already hold the new bytes.
-  {
+  } else {
+    // Drop stale copies left in tiers the new placement did not touch (the
+    // overwrite landed elsewhere); same storage key, so tiers that were
+    // re-stored already hold the new bytes. The new locations are committed
+    // before any stale copy goes, so a crash never leaves the journal
+    // naming only deleted copies.
     std::lock_guard object_guard(object_lock(object_id));
+    std::vector<std::string> dropped;
     for (const auto& label : stale_locations) {
       if (std::find(ctx.stored_tiers.begin(), ctx.stored_tiers.end(),
                     label) != ctx.stored_tiers.end()) {
@@ -347,35 +342,42 @@ Status TieraInstance::put(std::string_view id, ByteView data,
         return true;
       });
       meta_.remove_from_tier(label, object_id);
-      if (TierPtr stale_tier = tier(label)) {
-        (void)stale_tier->remove(object_id);
+      dropped.push_back(label);
+    }
+    if (!dropped.empty() && meta_.commit_staged().ok()) {
+      for (const auto& label : dropped) {
+        if (TierPtr stale_tier = tier(label)) {
+          (void)stale_tier->remove(object_id);
+        }
       }
     }
   }
-  if (!ctx.placement_error.ok()) {
+  // The PUT's one journal wait, inside its latency and stage books.
+  const Status committed = journal.finish();
+
+  Status result = Status::Ok();
+  if (!ctx.stored) {
+    result = Status::Unavailable("no tier accepted object " + object_id);
+  } else if (!ctx.placement_error.ok()) {
     // Part of the synchronous policy (a replica or write-through copy)
     // failed: the write is not acknowledged, though any bytes that did land
     // stay readable.
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_put(watch.elapsed(),
-                    ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                    false);
-    tracer_.record(span, TraceOp::kPut, "", object_id,
-                   ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                   false);
-    record_flight_op(FlightOp::kPut, object_id, ctx.placement_error.code(),
-                     watch.elapsed());
-    return ctx.placement_error;
+    result = ctx.placement_error;
+  } else {
+    result = committed;
   }
-  slo_.record_put(watch.elapsed(),
-                  ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                  true);
-  tracer_.record(span, TraceOp::kPut, "", object_id,
-                 ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                 true);
-  record_flight_op(FlightOp::kPut, object_id, StatusCode::kOk,
-                   watch.elapsed());
-  return Status::Ok();
+  const Duration elapsed = watch.elapsed();
+  const std::string placed_tier =
+      ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front();
+  stats_.puts.fetch_add(1, std::memory_order_relaxed);
+  stats_.ops.add();
+  stats_.put_latency.record(elapsed);
+  if (!result.ok()) stats_.failures.fetch_add(1, std::memory_order_relaxed);
+  slo_.record_put(elapsed, placed_tier, result.ok());
+  tracer_.record(span, TraceOp::kPut, "", object_id, placed_tier,
+                 result.ok());
+  record_flight_op(FlightOp::kPut, object_id, result.code(), elapsed);
+  return result;
 }
 
 Result<Bytes> TieraInstance::get(std::string_view id) {
@@ -429,11 +431,7 @@ Result<Bytes> TieraInstance::get(std::string_view id) {
     }
   }
 
-  (void)meta_.update(object_id, [&](ObjectMeta& cur) {
-    cur.access_count += 1;
-    cur.last_access = now();
-    return true;
-  });
+  meta_.note_access(object_id, now());
   meta_.touch_in_tier(served_tier, object_id);
 
   EventContext ctx;
@@ -462,6 +460,8 @@ Status TieraInstance::remove(std::string_view id) {
   TraceScope span;
   OpStageScope stage_scope(StageOp::kDelete);
   Stopwatch watch;
+  // One group commit for the whole delete (engine_delete's writes join).
+  MetadataStore::CommitScope journal(meta_);
   const std::string object_id(id);
   if (!meta_.contains(object_id)) return Status::NotFound("no such object");
 
@@ -480,6 +480,7 @@ Status TieraInstance::remove(std::string_view id) {
     StageTimer policy_stage(Stage::kPolicyEval);
     control_->evaluate_thresholds();
   }
+  TIERA_RETURN_IF_ERROR(journal.finish());
   stats_.removes.fetch_add(1, std::memory_order_relaxed);
   stats_.ops.add();
   metrics_.delete_latency->record(watch.elapsed());
@@ -859,6 +860,12 @@ Status TieraInstance::replicate_locked(const std::string& id,
                            "move aborted: no destination holds " + id)
                      : last;
   }
+  // The destination's location must be durable before any source copy
+  // goes (a no-op unless this runs inside a foreground commit scope).
+  if (const Status committed = meta_.commit_staged(); !committed.ok()) {
+    account();
+    return committed;
+  }
   std::vector<std::string> sources;
   if (from_tiers.empty()) {
     for (const auto& loc : fresh->locations) {
@@ -999,11 +1006,7 @@ Status TieraInstance::engine_retrieve(const std::vector<std::string>& ids) {
       last = bytes.status();
       continue;
     }
-    (void)meta_.update(id, [&](ObjectMeta& cur) {
-      cur.access_count += 1;
-      cur.last_access = now();
-      return true;
-    });
+    meta_.note_access(id, now());
     meta_.touch_in_tier(served, id);
   }
   return last;

@@ -1,5 +1,6 @@
 #include "core/metadata_store.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/hash.h"
@@ -20,7 +21,40 @@ std::string db_key(std::string_view id) {
   return key;
 }
 
+// Open commit scopes on this thread, innermost first (linked by outer_).
+thread_local MetadataStore::CommitScope* t_scopes = nullptr;
+
 }  // namespace
+
+MetadataStore::CommitScope::CommitScope(MetadataStore& store)
+    : store_(store), joined_(store.active_scope() != nullptr) {
+  if (!joined_) {
+    outer_ = t_scopes;
+    t_scopes = this;
+  }
+}
+
+MetadataStore::CommitScope::~CommitScope() { (void)finish(); }
+
+Status MetadataStore::CommitScope::finish() {
+  if (joined_ || !open_) return Status::Ok();
+  open_ = false;
+  t_scopes = outer_;
+  return store_.commit_now(max_seq_);
+}
+
+MetadataStore::CommitScope* MetadataStore::active_scope() {
+  for (CommitScope* scope = t_scopes; scope; scope = scope->outer_) {
+    if (&scope->store_ == this) return scope;
+  }
+  return nullptr;
+}
+
+Status MetadataStore::commit_staged() {
+  CommitScope* scope = active_scope();
+  if (!db_ || !scope || scope->max_seq_ == 0) return Status::Ok();
+  return db_->commit(scope->max_seq_);
+}
 
 MetadataStore::Shard& MetadataStore::shard_for(std::string_view id) {
   return shards_[fnv1a64(id) % kShards];
@@ -88,7 +122,15 @@ std::uint64_t MetadataStore::stage_erase_locked(const Entry& entry) {
 }
 
 Status MetadataStore::commit(std::uint64_t seq) {
-  if (!db_) return Status::Ok();
+  if (CommitScope* scope = active_scope()) {
+    scope->max_seq_ = std::max(scope->max_seq_, seq);
+    return Status::Ok();
+  }
+  return commit_now(seq);
+}
+
+Status MetadataStore::commit_now(std::uint64_t seq) {
+  if (!db_ || seq == 0) return Status::Ok();
   TIERA_RETURN_IF_ERROR(db_->commit(seq));
   if (db_->wants_compaction(dead_bytes_.load(std::memory_order_relaxed))) {
     return compact();
@@ -175,6 +217,16 @@ Status MetadataStore::erase(std::string_view id) {
     shard.map.erase(it);
   }
   return commit(seq);
+}
+
+void MetadataStore::note_access(std::string_view id, TimePoint when) {
+  StageTimer stage(Stage::kMetadataLookup);
+  Shard& shard = shard_for(id);
+  std::lock_guard lock(shard.mu);
+  auto it = shard.map.find(std::string(id));
+  if (it == shard.map.end()) return;
+  it->second.meta.access_count += 1;
+  it->second.meta.last_access = when;
 }
 
 std::size_t MetadataStore::size() const {

@@ -3,7 +3,14 @@
 // Mirrors the prototype's BerkeleyDB-backed metadata layer: a sharded
 // in-memory map for the hot path plus an optional metadb journal so an
 // instance restart recovers object locations. The maps are the only index:
-// the journal keeps no copy of any record. Also maintains:
+// the journal keeps no copy of any record.
+//
+// Journal writes: every put/update/erase stages one record; a foreground
+// operation wraps its writes in a CommitScope so it waits for one group
+// commit in all (a PUT or DELETE), not one per record. access_count and
+// last_access are soft state: reads bump them in memory only
+// (note_access), they reach the journal with the object's next record or
+// the next compaction, and after a crash they may lag. Also maintains:
 //   * a per-tier recency list giving O(1) `tierX.oldest` / `tierX.newest`
 //     (the selectors behind the paper's LRU/MRU policies, Fig. 5), and
 //   * a content-hash reference-count table backing the storeOnce dedup
@@ -40,6 +47,40 @@ class MetadataStore {
   // probe journal progress (flushed batches vs staged records).
   MetaDb* db() { return db_.get(); }
 
+  // Folds the journal writes of one operation into a single group commit.
+  // While a scope is open on a thread, put/update/erase on that thread for
+  // this store stage their records exactly as without one (under the shard
+  // lock, so log order = map order) but do not wait; finish() waits once,
+  // for the highest sequence number staged, and runs the compaction check
+  // once. A scope opened while one for the same store is already open on
+  // the thread joins it: its finish() does nothing and the outer scope
+  // commits. The destructor finishes a scope the caller did not.
+  class CommitScope {
+   public:
+    explicit CommitScope(MetadataStore& store);
+    ~CommitScope();
+    CommitScope(const CommitScope&) = delete;
+    CommitScope& operator=(const CommitScope&) = delete;
+
+    // Waits for every record staged in the scope and returns the journal
+    // error, if any. Later writes on this thread commit per call again.
+    Status finish();
+
+   private:
+    friend class MetadataStore;
+    MetadataStore& store_;
+    CommitScope* outer_ = nullptr;  // next open scope on this thread
+    bool joined_ = false;
+    bool open_ = true;
+    std::uint64_t max_seq_ = 0;
+  };
+
+  // Waits now for what this thread's open scope has staged so far, leaving
+  // the scope open; a no-op outside a scope, where every write already
+  // waited. Call before destroying tier bytes that the committed journal
+  // may still name as an object's only copy.
+  Status commit_staged();
+
   // --- Object records --------------------------------------------------------
   std::optional<ObjectMeta> get(std::string_view id) const;
   bool contains(std::string_view id) const;
@@ -57,6 +98,11 @@ class MetadataStore {
                 const std::function<bool(ObjectMeta&)>& fn);
 
   Status erase(std::string_view id);
+
+  // Records a read: bumps access_count and sets last_access in memory under
+  // the shard lock, staging nothing (soft state, see the header comment).
+  // Absent ids are ignored.
+  void note_access(std::string_view id, TimePoint when);
 
   std::size_t size() const;
 
@@ -110,7 +156,13 @@ class MetadataStore {
   // Journal helpers; the stage_* ones require the entry's shard lock.
   std::uint64_t stage_put_locked(Entry& entry);
   std::uint64_t stage_erase_locked(const Entry& entry);
+  // Inside this thread's scope: remembers `seq` for its finish(). Outside:
+  // commit_now(seq).
   Status commit(std::uint64_t seq);
+  // Waits for `seq`, then compacts if the log is mostly dead.
+  Status commit_now(std::uint64_t seq);
+  // This thread's innermost open scope for this store, or null.
+  CommitScope* active_scope();
   // Rewrites the journal from the maps when it is mostly dead. Takes every
   // shard lock in index order (lock order: shard.mu, then the journal).
   Status compact();

@@ -2,22 +2,6 @@
 
 namespace tiera {
 
-namespace {
-
-ReactorOptions shards_only(std::size_t request_threads) {
-  ReactorOptions options;
-  options.shards = request_threads;
-  return options;
-}
-
-}  // namespace
-
-RpcServer::RpcServer(std::uint16_t port, std::size_t request_threads)
-    : ReactorServer(port, shards_only(request_threads)) {}
-
-RpcServer::RpcServer(std::uint16_t port, ReactorOptions options)
-    : ReactorServer(port, options) {}
-
 Result<std::unique_ptr<RpcClient>> RpcClient::connect(const std::string& host,
                                                       std::uint16_t port) {
   auto conn = TcpConnection::connect(host, port);

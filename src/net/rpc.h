@@ -3,10 +3,8 @@
 // Request frame : u64 request_id | u8 method | body
 // Response frame: u64 request_id | u8 status  | string message | body
 //
-// The server side is the epoll reactor in net/reactor.h: N event loops own
-// the sockets and per-core shard workers run the handlers. RpcServer is a
-// thin alias that maps the historical (port, request_threads) signature onto
-// ReactorOptions — request_threads becomes the shard count.
+// The server side is the epoll reactor in net/reactor.h (ReactorServer): N
+// event loops own the sockets and per-core shard workers run the handlers.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +17,6 @@
 #include "net/wire.h"
 
 namespace tiera {
-
-class RpcServer : public ReactorServer {
- public:
-  RpcServer(std::uint16_t port, std::size_t request_threads);
-  RpcServer(std::uint16_t port, ReactorOptions options);
-};
 
 // Blocking client: one connection, serialized calls (thread-safe).
 class RpcClient {

@@ -78,7 +78,7 @@ RequestPriority tiera_priority(std::uint8_t method, bool background) {
 
 TieraServer::TieraServer(TieraInstance& instance, std::uint16_t port,
                          std::size_t request_threads)
-    : instance_(instance), server_(port, request_threads) {
+    : instance_(instance), server_(port, ReactorOptions{.shards = request_threads}) {
   server_.set_shard_key(tiera_shard_key);
   register_handlers();
 }

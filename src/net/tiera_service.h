@@ -10,6 +10,7 @@
 
 #include "core/admission.h"
 #include "core/instance.h"
+#include "net/reactor.h"
 #include "net/rpc.h"
 
 namespace tiera {
@@ -87,7 +88,7 @@ class TieraServer {
   void admission_poll_loop();
 
   TieraInstance& instance_;
-  RpcServer server_;
+  ReactorServer server_;
   std::unique_ptr<AdmissionController> admission_;
   std::thread admission_poller_;
   std::atomic<bool> poller_running_{false};

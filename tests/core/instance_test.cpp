@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "core/responses.h"
+#include "core/templates.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace tiera {
@@ -265,6 +267,110 @@ TEST_F(InstanceTest, RemapInvalidateDropsReplicatedObjectsOnly) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(instance->get("r" + std::to_string(i)).ok()) << i;
   }
+}
+
+// Journal accounting on a persisted, synced MemcachedEBS instance (PUTs
+// write through to Memcached and EBS). Read from the process-wide
+// tiera_metadb_group_commit_* counters, as deltas around each call.
+class JournalAccountingTest : public ::testing::Test {
+ protected:
+  struct JournalCounts {
+    std::uint64_t records = 0;
+    std::uint64_t fsyncs = 0;
+  };
+
+  static JournalCounts journal() {
+    MetricsRegistry& reg = MetricsRegistry::global();
+    return {reg.counter("tiera_metadb_group_commit_records_total").value(),
+            reg.counter("tiera_metadb_group_commit_fsyncs_total").value()};
+  }
+
+  static JournalCounts since(const JournalCounts& before) {
+    const JournalCounts now = journal();
+    return {now.records - before.records, now.fsyncs - before.fsyncs};
+  }
+
+  InstancePtr open_instance() {
+    TemplateOptions opts;
+    opts.data_dir = dir_.sub("mebs");
+    opts.persist_metadata = true;
+    opts.journal_sync = true;
+    auto instance = make_memcached_ebs_instance(opts, 1 << 20, 1 << 20);
+    EXPECT_TRUE(instance.ok()) << instance.status().to_string();
+    return std::move(instance).value();
+  }
+
+  ZeroLatencyScope zero_latency_;
+  TempDir dir_;
+};
+
+TEST_F(JournalAccountingTest, PutAndDeleteCommitOnceGetWritesNothing) {
+  auto instance = open_instance();
+  const Bytes payload = make_payload(256, 3);
+
+  JournalCounts before = journal();
+  ASSERT_TRUE(instance->put("obj", as_view(payload)).ok());
+  JournalCounts put = since(before);
+  // Four records (the new record, two locations, dirty cleared) in one
+  // group commit.
+  EXPECT_EQ(put.records, 4u);
+  EXPECT_EQ(put.fsyncs, 1u);
+
+  before = journal();
+  auto got = instance->get("obj");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, payload);
+  const JournalCounts get = since(before);
+  EXPECT_EQ(get.records, 0u);
+  EXPECT_EQ(get.fsyncs, 0u);
+
+  before = journal();
+  ASSERT_TRUE(instance->put("obj", as_view(make_payload(256, 4))).ok());
+  put = since(before);
+  EXPECT_EQ(put.fsyncs, 1u) << "an overwrite commits once too";
+
+  before = journal();
+  ASSERT_TRUE(instance->remove("obj").ok());
+  EXPECT_EQ(since(before).fsyncs, 1u);
+  EXPECT_FALSE(instance->contains("obj"));
+}
+
+TEST_F(JournalAccountingTest, RejectedPutLeavesNoRecordAfterReopen) {
+  {
+    auto instance = open_instance();
+    instance->tier("tier1")->inject_failure(FailureMode::kFailStop);
+    instance->tier("tier2")->inject_failure(FailureMode::kFailStop);
+    const Status s = instance->put("obj", as_view(make_payload(64, 1)));
+    EXPECT_TRUE(s.is_unavailable()) << s.to_string();
+    EXPECT_FALSE(instance->contains("obj"));
+  }
+  auto reopened = open_instance();
+  EXPECT_FALSE(reopened->contains("obj"));
+  EXPECT_TRUE(reopened->stat("obj").status().is_not_found());
+}
+
+TEST_F(JournalAccountingTest, AccessStatsAreSoftState) {
+  constexpr std::uint64_t kGets = 5;
+  {
+    auto instance = open_instance();
+    for (const char* id : {"flushed", "soft"}) {
+      ASSERT_TRUE(instance->put(id, as_view(make_payload(64, 1))).ok());
+      for (std::uint64_t i = 0; i < kGets; ++i) {
+        ASSERT_TRUE(instance->get(id).ok());
+      }
+      EXPECT_EQ(instance->stat(id)->access_count, kGets);
+    }
+    // A later write of the object carries the in-memory counts with it.
+    ASSERT_TRUE(instance->add_tags("flushed", {"later"}).ok());
+  }
+  auto reopened = open_instance();
+  const auto flushed = reopened->stat("flushed");
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(flushed->access_count, kGets);
+  // No write followed the reads: the persisted count may lag.
+  const auto soft = reopened->stat("soft");
+  ASSERT_TRUE(soft.ok());
+  EXPECT_LE(soft->access_count, kGets);
 }
 
 }  // namespace

@@ -286,5 +286,83 @@ TEST(MetadataStoreTest, ConcurrentTouchAndSelect) {
   EXPECT_EQ(store.count_in_tier("t"), 100u);
 }
 
+// A commit scope stages every write as usual but waits once, at finish();
+// a scope opened inside another for the same store joins it.
+TEST(MetadataStoreTest, CommitScopeFoldsWritesIntoOneCommit) {
+  TempDir dir;
+  MetaDbOptions options;
+  options.sync_every_write = true;
+  MetadataStore store;
+  ASSERT_TRUE(store.open(dir.sub("meta"), options).ok());
+  {
+    MetadataStore::CommitScope outer(store);
+    ASSERT_TRUE(store.put(make_meta("a")).ok());
+    ASSERT_TRUE(store.update("a", [](ObjectMeta& m) {
+      m.locations = {"tier1"};
+      return true;
+    }).ok());
+    {
+      MetadataStore::CommitScope inner(store);
+      ASSERT_TRUE(store.put(make_meta("b")).ok());
+      ASSERT_TRUE(inner.finish().ok());  // joined: the outer scope commits
+    }
+    EXPECT_EQ(store.db()->journal_pending(), 3u);
+    EXPECT_EQ(store.db()->journal_stats().fsyncs, 0u);
+    ASSERT_TRUE(outer.finish().ok());
+    EXPECT_EQ(store.db()->journal_pending(), 0u);
+    EXPECT_EQ(store.db()->journal_stats().records, 3u);
+    EXPECT_EQ(store.db()->journal_stats().fsyncs, 1u);
+  }
+  // Outside a scope every write waits for its own commit again.
+  ASSERT_TRUE(store.erase("b").ok());
+  EXPECT_EQ(store.db()->journal_pending(), 0u);
+  EXPECT_EQ(store.db()->journal_stats().fsyncs, 2u);
+}
+
+TEST(MetadataStoreTest, CommitStagedWaitsAndKeepsScopeOpen) {
+  TempDir dir;
+  MetadataStore store;
+  ASSERT_TRUE(store.open(dir.sub("meta"), {}).ok());
+  ASSERT_TRUE(store.commit_staged().ok());  // no scope: nothing to do
+  MetadataStore::CommitScope scope(store);
+  ASSERT_TRUE(store.put(make_meta("a")).ok());
+  ASSERT_TRUE(store.commit_staged().ok());
+  EXPECT_EQ(store.db()->journal_pending(), 0u);
+  ASSERT_TRUE(store.put(make_meta("b")).ok());
+  EXPECT_EQ(store.db()->journal_pending(), 1u);
+  ASSERT_TRUE(scope.finish().ok());
+  EXPECT_EQ(store.db()->journal_pending(), 0u);
+}
+
+// access_count/last_access are soft: note_access stages nothing, and the
+// values reach the journal with the object's next record.
+TEST(MetadataStoreTest, NoteAccessStagesNothing) {
+  TempDir dir;
+  const std::string path = dir.sub("meta");
+  {
+    MetadataStore store;
+    ASSERT_TRUE(store.open(path, {}).ok());
+    ASSERT_TRUE(store.put(make_meta("read")).ok());
+    ASSERT_TRUE(store.put(make_meta("written")).ok());
+    const std::uint64_t log_bytes = store.db()->log_bytes();
+    for (int i = 0; i < 3; ++i) {
+      store.note_access("read", now());
+      store.note_access("written", now());
+    }
+    store.note_access("absent", now());
+    EXPECT_EQ(store.db()->log_bytes(), log_bytes);
+    EXPECT_EQ(store.get("read")->access_count, 3u);
+    EXPECT_FALSE(store.contains("absent"));
+    ASSERT_TRUE(store.update("written", [](ObjectMeta& m) {
+      m.tags.insert("t");
+      return true;
+    }).ok());
+  }
+  MetadataStore store;
+  ASSERT_TRUE(store.open(path, {}).ok());
+  EXPECT_EQ(store.get("read")->access_count, 0u);
+  EXPECT_EQ(store.get("written")->access_count, 3u);
+}
+
 }  // namespace
 }  // namespace tiera

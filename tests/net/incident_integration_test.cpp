@@ -64,7 +64,7 @@ TEST(IncidentIntegrationTest, ShardStallProducesReportNamingThePool) {
   ReactorOptions options;
   options.loops = 1;
   options.shards = 1;
-  RpcServer server(0, options);
+  ReactorServer server(0, options);
 
   std::mutex wedge_mu;
   std::condition_variable wedge_cv;

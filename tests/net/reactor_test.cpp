@@ -89,9 +89,9 @@ Bytes frame_request(std::uint64_t id, std::uint8_t method, ByteView body) {
   Bytes payload = w.take();
   append(payload, body);
   const auto len = static_cast<std::uint32_t>(payload.size());
-  Bytes frame(4);
+  Bytes frame(4 + payload.size());
   std::memcpy(frame.data(), &len, 4);
-  append(frame, as_view(payload));
+  std::memcpy(frame.data() + 4, payload.data(), payload.size());
   return frame;
 }
 

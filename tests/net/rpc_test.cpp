@@ -97,7 +97,7 @@ TEST(TcpTest, ConnectToClosedPortFails) {
 }
 
 TEST(RpcTest, DispatchAndErrors) {
-  RpcServer server(0, 4);
+  ReactorServer server(0, ReactorOptions{.shards = 4});
   server.register_handler(1, [](ByteView body) -> Result<Bytes> {
     Bytes out(body.begin(), body.end());
     std::reverse(out.begin(), out.end());
@@ -127,7 +127,7 @@ TEST(RpcTest, DispatchAndErrors) {
 }
 
 TEST(RpcTest, ConcurrentClients) {
-  RpcServer server(0, 8);
+  ReactorServer server(0, ReactorOptions{.shards = 8});
   server.register_handler(1, [](ByteView body) -> Result<Bytes> {
     return Bytes(body.begin(), body.end());
   });
@@ -156,7 +156,7 @@ TEST(RpcTest, ConcurrentClients) {
 }
 
 TEST(RpcTest, DisconnectsAreReapedWithoutNewConnects) {
-  RpcServer server(0, 2);
+  ReactorServer server(0, ReactorOptions{.shards = 2});
   server.register_handler(1, [](ByteView body) -> Result<Bytes> {
     return Bytes(body.begin(), body.end());
   });

@@ -3,7 +3,7 @@
 # (.github/workflows/ci.yml) is a thin matrix over these stages, so "CI is
 # red" always reproduces with one command:
 #
-#   $ tools/ci.sh release   # Release build + full ctest suite
+#   $ tools/ci.sh release   # Release -Werror build + full ctest suite
 #   $ tools/ci.sh asan      # Debug + ASan/UBSan build + full ctest suite
 #   $ tools/ci.sh tsan      # tools/check.sh (TSan gate, concurrency tests)
 #   $ tools/ci.sh bench     # smoke-run micro benches, diff vs baseline
@@ -33,8 +33,11 @@ fi
 
 stage_release() {
   echo "=== ci: release build + tests ==="
+  # Warnings are fatal here: the build is warning-free, so a new warning
+  # fails the lane instead of piling up.
   cmake -B "${repo_root}/build-ci-release" -S "${repo_root}" \
-    -DCMAKE_BUILD_TYPE=Release "${cmake_launcher[@]}"
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+    "${cmake_launcher[@]}"
   cmake --build "${repo_root}/build-ci-release" -j "${jobs}"
   # --timeout caps each test so one hung binary fails fast instead of
   # stalling the lane until the job-level timeout.
