@@ -17,23 +17,6 @@
 
 namespace tiera {
 
-namespace {
-
-// Flight-recorder hook shared by the put/get/remove terminal sites. Runs on
-// every op (not sampled): the recorder write is a handful of relaxed atomic
-// stores, measured under the BM_InstancePut4K overhead gate.
-void record_flight_op(FlightOp op, std::string_view object_id,
-                      StatusCode status, Duration latency) {
-  FlightRecorder::global().record_op(
-      op, object_id, status,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(latency)
-              .count()),
-      current_stage_digest());
-}
-
-}  // namespace
-
 TieraInstance::TieraInstance(InstanceConfig config)
     : config_(std::move(config)),
       factory_(config_.data_dir),
@@ -76,6 +59,8 @@ void TieraInstance::collect_metrics() {
                                         put_latency_cursor_);
   metrics_.get_latency->merge_new_since(stats_.get_latency,
                                         get_latency_cursor_);
+  metrics_.delete_latency->merge_new_since(stats_.delete_latency,
+                                           delete_latency_cursor_);
 }
 
 Counter& TieraInstance::tier_hit_counter(const std::string& tier_label) {
@@ -135,8 +120,12 @@ Status TieraInstance::init() {
     db_options.sync_every_write = config_.journal_sync;
     db_options.journal_batch_bytes = config_.journal_batch_bytes;
     db_options.journal_batch_wait = config_.journal_batch_wait;
-    TIERA_RETURN_IF_ERROR(
-        meta_.open(config_.data_dir + "/metadata.db", db_options));
+    std::vector<std::string> volatile_tiers;
+    for (const auto& entry : tiers_) {
+      if (!entry.tier->durable()) volatile_tiers.push_back(entry.label);
+    }
+    TIERA_RETURN_IF_ERROR(meta_.open(config_.data_dir + "/metadata.db",
+                                     db_options, volatile_tiers));
   }
   control_ = std::make_unique<ControlLayer>(*this, config_.response_threads,
                                             config_.timer_tick);
@@ -249,14 +238,95 @@ std::vector<std::string> TieraInstance::tier_labels() const {
 
 // --- Application interface ---------------------------------------------------
 
+// The completion record of one PUT/GET/DELETE (the rule: DESIGN.md §6).
+// Opened at the API entry, it owns the op's root trace span, whose start is
+// the op's start, and its stage books. On every exit it records the op once,
+// with one elapsed value, into stats, SLO, tracer and flight recorder, and on
+// a GET hit into tier hits, heat and cost. An exit that never calls finish()
+// records kInternal, so a forgotten path shows as a failure.
+class TieraInstance::OpRecord {
+ public:
+  OpRecord(TieraInstance& instance, StageOp op, std::string_view object_id)
+      : instance_(instance), op_(op), object_id_(object_id), stage_(op) {}
+  ~OpRecord();
+
+  OpRecord(const OpRecord&) = delete;
+  OpRecord& operator=(const OpRecord&) = delete;
+
+  // Sets the op's result and hands it back: `return op.finish(status);`.
+  Status finish(Status result) {
+    status_ = result.code();
+    return result;
+  }
+
+  std::string tier;                // placed in / served from ("" = none)
+  std::uint64_t served_bytes = 0;  // GET hit: at-rest bytes that left `tier`
+
+ private:
+  TieraInstance& instance_;
+  const StageOp op_;
+  const std::string_view object_id_;
+  TraceScope span_;  // rules the op fires record child spans under it
+  OpStageScope stage_;
+  StatusCode status_ = StatusCode::kInternal;
+};
+
+TieraInstance::OpRecord::~OpRecord() {
+  const Duration elapsed = now() - span_.start();
+  const bool ok = status_ == StatusCode::kOk;
+  // A miss is a correct answer: not a failure, and kept out of the SLO so a
+  // miss-heavy client cannot burn the error budget that admission reads.
+  const bool miss = status_ == StatusCode::kNotFound;
+  InstanceStats& stats = instance_.stats_;
+  if (!ok && !miss) stats.failures.fetch_add(1, std::memory_order_relaxed);
+  // puts count every attempt; gets and removes count OK results.
+  if (ok || op_ == StageOp::kPut) stats.ops.add();
+  TraceOp trace_op = TraceOp::kPut;
+  FlightOp flight_op = FlightOp::kPut;
+  if (op_ == StageOp::kPut) {
+    stats.puts.fetch_add(1, std::memory_order_relaxed);
+    stats.put_latency.record(elapsed);
+    if (!miss) instance_.slo_.record_put(elapsed, tier, ok);
+  } else if (op_ == StageOp::kGet) {
+    trace_op = TraceOp::kGet;
+    flight_op = FlightOp::kGet;
+    if (miss) stats.get_misses.fetch_add(1, std::memory_order_relaxed);
+    if (!miss) instance_.slo_.record_get(elapsed, tier, ok);
+    if (ok) {
+      stats.gets.fetch_add(1, std::memory_order_relaxed);
+      stats.get_latency.record(elapsed);
+      instance_.tier_hit_counter(tier).inc();
+      if (HeatTracker* heat = instance_.heat()) {
+        heat->record(tier, object_id_, served_bytes);
+      }
+      if (CostMeter* cost = instance_.cost_meter()) {
+        cost->record_client_read(tier, served_bytes);
+      }
+    }
+  } else {
+    trace_op = TraceOp::kDelete;
+    flight_op = FlightOp::kDelete;
+    if (!miss) instance_.slo_.record_delete(elapsed, ok);
+    if (ok) {
+      stats.removes.fetch_add(1, std::memory_order_relaxed);
+      stats.delete_latency.record(elapsed);
+    }
+  }
+  instance_.tracer_.record_op(span_, trace_op, object_id_, tier, status_,
+                              elapsed);
+  // Not sampled: a handful of relaxed atomic stores, measured under the
+  // BM_InstancePut4K overhead gate.
+  FlightRecorder::global().record_op(
+      flight_op, object_id_, status_,
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+              .count()),
+      current_stage_digest());
+}
+
 Status TieraInstance::put(std::string_view id, ByteView data,
                           const std::vector<std::string>& tags) {
-  // Root span for this request: every rule the PUT fires — including
-  // background responses queued on the control pool — records child spans
-  // under this context.
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kPut);
-  Stopwatch watch;
+  OpRecord op(*this, StageOp::kPut, id);
   // Every metadata write below, the rules' included, stages its journal
   // record and the PUT waits for one group commit at the end.
   MetadataStore::CommitScope journal(meta_);
@@ -275,9 +345,10 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     (void)engine_delete({object_id}, {}, nullptr);
     old.reset();
   }
+  Status staged;
   if (old) {
     stale_locations = old->locations;
-    TIERA_RETURN_IF_ERROR(meta_.update(object_id, [&](ObjectMeta& cur) {
+    staged = meta_.update(object_id, [&](ObjectMeta& cur) {
       cur.size = data.size();
       cur.dirty = true;
       cur.last_access = now();
@@ -285,7 +356,7 @@ Status TieraInstance::put(std::string_view id, ByteView data,
       cur.encrypted = false;
       cur.tags.insert(tags.begin(), tags.end());
       return true;
-    }));
+    });
   } else {
     ObjectMeta meta;
     meta.id = object_id;
@@ -293,8 +364,9 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     meta.dirty = true;
     meta.created = meta.last_access = now();
     meta.tags.insert(tags.begin(), tags.end());
-    TIERA_RETURN_IF_ERROR(meta_.put(meta));
+    staged = meta_.put(meta);
   }
+  if (!staged.ok()) return op.finish(std::move(staged));
 
   EventContext ctx;
   ctx.instance = this;
@@ -325,6 +397,7 @@ Status TieraInstance::put(std::string_view id, ByteView data,
   if (!ctx.stored) {
     if (stale_locations.empty()) (void)meta_.erase(object_id);
   } else {
+    op.tier = ctx.stored_tiers.front();
     // Drop stale copies left in tiers the new placement did not touch (the
     // overwrite landed elsewhere); same storage key, so tiers that were
     // re-stored already hold the new bytes. The new locations are committed
@@ -355,60 +428,29 @@ Status TieraInstance::put(std::string_view id, ByteView data,
   // The PUT's one journal wait, inside its latency and stage books.
   const Status committed = journal.finish();
 
-  Status result = Status::Ok();
   if (!ctx.stored) {
-    result = Status::Unavailable("no tier accepted object " + object_id);
-  } else if (!ctx.placement_error.ok()) {
-    // Part of the synchronous policy (a replica or write-through copy)
-    // failed: the write is not acknowledged, though any bytes that did land
-    // stay readable.
-    result = ctx.placement_error;
-  } else {
-    result = committed;
+    return op.finish(
+        Status::Unavailable("no tier accepted object " + object_id));
   }
-  const Duration elapsed = watch.elapsed();
-  const std::string placed_tier =
-      ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front();
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  stats_.put_latency.record(elapsed);
-  if (!result.ok()) stats_.failures.fetch_add(1, std::memory_order_relaxed);
-  slo_.record_put(elapsed, placed_tier, result.ok());
-  tracer_.record(span, TraceOp::kPut, "", object_id, placed_tier,
-                 result.ok());
-  record_flight_op(FlightOp::kPut, object_id, result.code(), elapsed);
-  return result;
+  // A failed synchronous policy step (a replica or write-through copy) does
+  // not acknowledge the write, though any bytes that did land stay readable.
+  if (!ctx.placement_error.ok()) return op.finish(ctx.placement_error);
+  return op.finish(committed);
 }
 
 Result<Bytes> TieraInstance::get(std::string_view id) {
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kGet);
-  Stopwatch watch;
+  OpRecord op(*this, StageOp::kGet, id);
   const std::string object_id(id);
   const auto meta = meta_.get(object_id);
-  if (!meta) {
-    stats_.get_misses.fetch_add(1, std::memory_order_relaxed);
-    tracer_.record(span, TraceOp::kGet, "", object_id, "", false);
-    record_flight_op(FlightOp::kGet, object_id, StatusCode::kNotFound,
-                     watch.elapsed());
-    return Status::NotFound("no object " + object_id);
-  }
+  if (!meta) return op.finish(Status::NotFound("no object " + object_id));
 
-  std::string served_tier;
-  Result<Bytes> at_rest = read_at_rest(*meta, &served_tier);
-  if (!at_rest.ok()) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_get(watch.elapsed(), served_tier, false);
-    tracer_.record(span, TraceOp::kGet, "", object_id, served_tier, false);
-    record_flight_op(FlightOp::kGet, object_id, at_rest.status().code(),
-                     watch.elapsed());
-    return at_rest.status();
-  }
+  Result<Bytes> at_rest = read_at_rest(*meta, &op.tier);
+  if (!at_rest.ok()) return op.finish(at_rest.status());
 
   // Undo at-rest transforms (applied compress-first, so undo decrypt-first).
   Bytes bytes = std::move(at_rest).value();
   // What left the tier (at-rest size), for heat and egress accounting.
-  const std::uint64_t served_bytes = bytes.size();
+  op.served_bytes = bytes.size();
   {
     StageTimer build_stage(Stage::kResponseBuild);
     if (meta->encrypted) {
@@ -418,52 +460,43 @@ Result<Bytes> TieraInstance::get(std::string_view id) {
         key = encryption_key_;
       }
       if (!key) {
-        return Status::Corruption("object encrypted, no key registered");
+        return op.finish(
+            Status::Corruption("object encrypted, no key registered"));
       }
       Result<Bytes> plain = chacha_decrypt(as_view(bytes), *key);
-      if (!plain.ok()) return plain.status();
+      if (!plain.ok()) return op.finish(plain.status());
       bytes = std::move(plain).value();
     }
     if (meta->compressed) {
       Result<Bytes> inflated = lz_decompress(as_view(bytes));
-      if (!inflated.ok()) return inflated.status();
+      if (!inflated.ok()) return op.finish(inflated.status());
       bytes = std::move(inflated).value();
     }
   }
 
   meta_.note_access(object_id, now());
-  meta_.touch_in_tier(served_tier, object_id);
+  meta_.touch_in_tier(op.tier, object_id);
 
   EventContext ctx;
   ctx.instance = this;
   ctx.object_id = object_id;
-  ctx.action_tier = served_tier;
+  ctx.action_tier = op.tier;
   {
     StageTimer policy_stage(Stage::kPolicyEval);
-    control_->on_action(ActionType::kGet, ctx, {served_tier});
+    control_->on_action(ActionType::kGet, ctx, {op.tier});
   }
-
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  stats_.get_latency.record(watch.elapsed());
-  slo_.record_get(watch.elapsed(), served_tier, true);
-  tier_hit_counter(served_tier).inc();
-  if (heat_) heat_->record(served_tier, object_id, served_bytes);
-  if (cost_) cost_->record_client_read(served_tier, served_bytes);
-  tracer_.record(span, TraceOp::kGet, "", object_id, served_tier, true);
-  record_flight_op(FlightOp::kGet, object_id, StatusCode::kOk,
-                   watch.elapsed());
+  (void)op.finish(Status::Ok());
   return bytes;
 }
 
 Status TieraInstance::remove(std::string_view id) {
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kDelete);
-  Stopwatch watch;
+  OpRecord op(*this, StageOp::kDelete, id);
   // One group commit for the whole delete (engine_delete's writes join).
   MetadataStore::CommitScope journal(meta_);
   const std::string object_id(id);
-  if (!meta_.contains(object_id)) return Status::NotFound("no such object");
+  if (!meta_.contains(object_id)) {
+    return op.finish(Status::NotFound("no such object"));
+  }
 
   EventContext ctx;
   ctx.instance = this;
@@ -475,19 +508,13 @@ Status TieraInstance::remove(std::string_view id) {
     control_->on_action(ActionType::kDelete, ctx, {});
   }
 
-  TIERA_RETURN_IF_ERROR(engine_delete({object_id}, {}, &ctx));
+  Status deleted = engine_delete({object_id}, {}, &ctx);
+  if (!deleted.ok()) return op.finish(std::move(deleted));
   {
     StageTimer policy_stage(Stage::kPolicyEval);
     control_->evaluate_thresholds();
   }
-  TIERA_RETURN_IF_ERROR(journal.finish());
-  stats_.removes.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  metrics_.delete_latency->record(watch.elapsed());
-  tracer_.record(span, TraceOp::kDelete, "", object_id, "", true);
-  record_flight_op(FlightOp::kDelete, object_id, StatusCode::kOk,
-                   watch.elapsed());
-  return Status::Ok();
+  return op.finish(journal.finish());
 }
 
 bool TieraInstance::contains(std::string_view id) const {

@@ -85,13 +85,16 @@ struct InstanceConfig {
 };
 
 struct InstanceStats {
+  // Each verb's histogram times the ops its counter below counts.
   LatencyHistogram put_latency;
   LatencyHistogram get_latency;
+  LatencyHistogram delete_latency;
   ThroughputMeter ops;
-  std::atomic<std::uint64_t> puts{0};
-  std::atomic<std::uint64_t> gets{0};
-  std::atomic<std::uint64_t> removes{0};
-  std::atomic<std::uint64_t> get_misses{0};
+  std::atomic<std::uint64_t> puts{0};     // every attempt
+  std::atomic<std::uint64_t> gets{0};     // OK results
+  std::atomic<std::uint64_t> removes{0};  // OK results
+  std::atomic<std::uint64_t> get_misses{0};  // NotFound GETs
+  // Every non-OK result except NotFound, all verbs.
   std::atomic<std::uint64_t> failures{0};
   // Policy/engine data movement (placement, migration, write-back,
   // eviction): bytes written into tiers and objects mutated while a
@@ -327,12 +330,13 @@ class TieraInstance {
   // Declared after the pool it watches so it is destroyed first.
   PoolMetrics hedge_pool_metrics_{hedge_pool_};
 
+  // Records one PUT/GET/DELETE on every exit; defined in instance.cpp.
+  class OpRecord;
+
   // End-to-end series in the global registry (`tiera_instance_*`).
   // Pull-model: a registered collector delta-syncs counters from `stats_`
   // and mirrors the per-instance latency histograms at render time, so the
-  // request path pays only for `stats_` (which it updated already in the
-  // seed). Only delete_latency is pushed directly (stats_ has no source
-  // for it).
+  // request path pays only for `stats_`.
   struct Metrics {
     Counter* puts;
     Counter* gets;
@@ -361,6 +365,7 @@ class TieraInstance {
   SyncedStats synced_;
   LatencyHistogram put_latency_cursor_;
   LatencyHistogram get_latency_cursor_;
+  LatencyHistogram delete_latency_cursor_;
   std::uint64_t collector_id_ = 0;
   void collect_metrics();
   // Per-served-tier GET hit counters. The read path does a lock-free scan of

@@ -65,7 +65,8 @@ const MetadataStore::Shard& MetadataStore::shard_for(
   return shards_[fnv1a64(id) % kShards];
 }
 
-Status MetadataStore::open(std::string path, const MetaDbOptions& options) {
+Status MetadataStore::open(std::string path, const MetaDbOptions& options,
+                           const std::vector<std::string>& volatile_tiers) {
   // Keep only each id's latest value during replay and decode it once
   // afterwards, not once per superseded record.
   std::unordered_map<std::string, Bytes> latest;
@@ -90,6 +91,7 @@ Status MetadataStore::open(std::string path, const MetaDbOptions& options) {
     const std::uint32_t record_bytes =
         MetaDb::record_bytes(kDbPrefix.size() + id.size(), value.size());
     live_bytes += record_bytes;
+    for (const auto& tier : volatile_tiers) meta->locations.erase(tier);
     // Rebuild recency and content indexes (recency order is not restored;
     // good enough after a restart, the lists re-sort themselves with use).
     for (const auto& tier : meta->locations) touch_in_tier(tier, id);

@@ -40,8 +40,12 @@ class MetadataStore {
 
   // Opens the metadata journal at `path`, replays it straight into the
   // maps and rebuilds the recency and content indexes. Call once, before
-  // use.
-  Status open(std::string path, const MetaDbOptions& options);
+  // use. `volatile_tiers` name tiers that restart empty (Memcached): their
+  // labels are dropped from every object's locations in memory, so no
+  // object lists a copy the restart lost. Nothing is staged for this; the
+  // journal sheds the stale label with the object's next record.
+  Status open(std::string path, const MetaDbOptions& options,
+              const std::vector<std::string>& volatile_tiers = {});
 
   // Null when metadata is purely in-memory. Exposed so the watchdog can
   // probe journal progress (flushed batches vs staged records).

@@ -471,7 +471,7 @@ void TieraServer::register_handlers() {
           w.u64(static_cast<std::uint64_t>(span.start_us));
           // Duration crosses the wire as nanoseconds to stay integral.
           w.u64(static_cast<std::uint64_t>(span.duration_ms * 1e6));
-          w.u8(span.ok ? 1 : 0);
+          w.u8(static_cast<std::uint8_t>(span.status));
         }
         return w.take();
       });
@@ -647,7 +647,7 @@ Result<std::vector<RequestTracer::Span>> RemoteTieraClient::trace_spans(
   for (std::uint32_t i = 0; i < count; ++i) {
     RequestTracer::Span span;
     std::uint64_t start_us = 0, duration_ns = 0;
-    std::uint8_t op = 0, ok = 0;
+    std::uint8_t op = 0, status = 0;
     std::string name, object_id, tier;
     TIERA_RETURN_IF_ERROR(r.u64(span.seq));
     TIERA_RETURN_IF_ERROR(r.u64(span.trace_id));
@@ -660,7 +660,7 @@ Result<std::vector<RequestTracer::Span>> RemoteTieraClient::trace_spans(
     TIERA_RETURN_IF_ERROR(r.str(tier));
     TIERA_RETURN_IF_ERROR(r.u64(start_us));
     TIERA_RETURN_IF_ERROR(r.u64(duration_ns));
-    TIERA_RETURN_IF_ERROR(r.u8(ok));
+    TIERA_RETURN_IF_ERROR(r.u8(status));
     span.op = static_cast<TraceOp>(op);
     std::snprintf(span.name, sizeof(span.name), "%s", name.c_str());
     std::snprintf(span.object_id, sizeof(span.object_id), "%s",
@@ -668,7 +668,7 @@ Result<std::vector<RequestTracer::Span>> RemoteTieraClient::trace_spans(
     std::snprintf(span.tier, sizeof(span.tier), "%s", tier.c_str());
     span.start_us = static_cast<std::int64_t>(start_us);
     span.duration_ms = static_cast<double>(duration_ns) / 1e6;
-    span.ok = ok != 0;
+    span.status = static_cast<StatusCode>(status);
     spans.push_back(span);
   }
   return spans;

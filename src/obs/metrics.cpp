@@ -1,43 +1,13 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.h"
 
 namespace tiera {
 
 namespace {
-
-std::uint64_t round_up_pow2(std::uint64_t n) {
-  std::uint64_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-std::uint64_t env_latency_sample_every() {
-  if (const char* env = std::getenv("TIERA_LATENCY_SAMPLE_N")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end && *end == '\0') {
-      return v == 0 ? 0 : round_up_pow2(static_cast<std::uint64_t>(v));
-    }
-  }
-  return kLatencySampleEvery;
-}
-
-std::atomic<std::uint64_t>& latency_sample_atomic() {
-  static std::atomic<std::uint64_t>& value = []() -> std::atomic<std::uint64_t>& {
-    static std::atomic<std::uint64_t> v{env_latency_sample_every()};
-    MetricsRegistry::global()
-        .gauge("tiera_latency_sample_every")
-        .set(static_cast<double>(v.load(std::memory_order_relaxed)));
-    return v;
-  }();
-  return value;
-}
 
 const double kQuantiles[] = {0.5, 0.9, 0.95, 0.99};
 
@@ -90,24 +60,6 @@ std::string format_value(double v) {
 }
 
 }  // namespace
-
-std::uint64_t latency_sample_every() {
-  return latency_sample_atomic().load(std::memory_order_relaxed);
-}
-
-void set_latency_sample_every(std::uint64_t n) {
-  if (n != 0) n = round_up_pow2(n);
-  latency_sample_atomic().store(n, std::memory_order_relaxed);
-  MetricsRegistry::global()
-      .gauge("tiera_latency_sample_every")
-      .set(static_cast<double>(n));
-}
-
-std::uint64_t latency_sample_mask() {
-  const std::uint64_t every =
-      latency_sample_atomic().load(std::memory_order_relaxed);
-  return every == 0 ? ~std::uint64_t{0} : every - 1;
-}
 
 MetricsRegistry::Series& MetricsRegistry::get_or_create(Kind kind,
                                                         std::string_view name,

@@ -35,25 +35,14 @@ namespace tiera {
 // Tier-level ops finish in a few hundred nanoseconds when latency modelling
 // is off, so timing every one of them (two clock reads plus a histogram
 // update) would cost more than the op itself. Latency histograms on those
-// paths sample 1 op in latency_sample_every(); counters stay exact.
-inline constexpr std::uint64_t kLatencySampleEvery = 8;  // default rate
-
-// Effective tier latency sampling rate. First read consults
-// TIERA_LATENCY_SAMPLE_N (rounded up to a power of two so hot paths can use
-// a mask; 0 disables latency sampling entirely); defaults to
-// kLatencySampleEvery. set_latency_sample_every() overrides at runtime —
-// benches use 1 to capture unsampled breakdowns. The live value is exported
-// as the `tiera_latency_sample_every` gauge.
-std::uint64_t latency_sample_every();
-void set_latency_sample_every(std::uint64_t n);
-// (every - 1) when sampling, i.e. `(counter & mask) == 0` selects the
-// sampled op; ~0 when sampling is disabled.
-std::uint64_t latency_sample_mask();
+// paths sample 1 op in kLatencySampleEvery (a power of two, so the check is
+// a mask); counters stay exact. The per-op `tier.io` stage covers the
+// unsampled view.
+inline constexpr std::uint64_t kLatencySampleEvery = 8;
 
 // True when an op with this (pre-increment) counter value should be timed.
 inline bool latency_sample_hit(std::uint64_t counter) {
-  const std::uint64_t every = latency_sample_every();
-  return every != 0 && (counter & (every - 1)) == 0;
+  return (counter & (kLatencySampleEvery - 1)) == 0;
 }
 
 // Monotonic event count (Prometheus "counter").

@@ -309,7 +309,7 @@ std::size_t SloEngine::size() const {
   return list ? list->size() : 0;
 }
 
-void SloEngine::record(bool is_get, Duration latency, std::string_view tier,
+void SloEngine::record(Verb verb, Duration latency, std::string_view tier,
                        bool ok) {
   const TrackerList* list = trackers_.load(std::memory_order_acquire);
   if (!list) return;
@@ -322,7 +322,9 @@ void SloEngine::record(bool is_get, Duration latency, std::string_view tier,
     const double latency_ms = wall_ms * tracker->wall_to_model;
     bool bad = false;
     if (slo_is_latency(tracker->spec.signal)) {
-      if (tracker->is_get != is_get) continue;
+      if (verb == Verb::kDelete || tracker->is_get != (verb == Verb::kGet)) {
+        continue;
+      }
       bad = !ok || latency_ms > tracker->spec.target_ms;
     } else {
       bad = !ok;

@@ -41,7 +41,7 @@ namespace tiera {
 
 // What an objective measures. Latency signals target a quantile of the
 // instance's PUT or GET latency; kErrorRate targets the failed fraction of
-// all operations.
+// all recorded PUTs, GETs and DELETEs.
 enum class SloSignal {
   kGetP50,
   kGetP95,
@@ -173,10 +173,15 @@ class SloEngine {
   // modelled time with its frozen scale before bucketing and bad-sample
   // classification.
   void record_put(Duration latency, std::string_view tier, bool ok) {
-    record(/*is_get=*/false, latency, tier, ok);
+    record(Verb::kPut, latency, tier, ok);
   }
   void record_get(Duration latency, std::string_view tier, bool ok) {
-    record(/*is_get=*/true, latency, tier, ok);
+    record(Verb::kGet, latency, tier, ok);
+  }
+  // DELETEs have no latency signal; they count toward error-rate
+  // objectives only (instance-wide ones: a delete is served by no tier).
+  void record_delete(Duration latency, bool ok) {
+    record(Verb::kDelete, latency, "", ok);
   }
 
   // --- Evaluation ------------------------------------------------------------
@@ -224,7 +229,8 @@ class SloEngine {
   };
   using TrackerList = std::vector<std::shared_ptr<Tracker>>;
 
-  void record(bool is_get, Duration latency, std::string_view tier, bool ok);
+  enum class Verb { kPut, kGet, kDelete };
+  void record(Verb verb, Duration latency, std::string_view tier, bool ok);
 
   const std::string instance_name_;
   // Copy-on-write list: readers load once, writers swap under the mutex.

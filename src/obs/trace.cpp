@@ -125,7 +125,7 @@ void RequestTracer::record(TraceOp op, std::string_view object_id,
   copy_truncated(span.tier, sizeof(span.tier), tier);
   span.start_us = to_us_ticks(now() - latency);
   span.duration_ms = to_ms(latency);
-  span.ok = ok;
+  span.status = ok ? StatusCode::kOk : StatusCode::kInternal;
   fill_slot(span);
 }
 
@@ -133,6 +133,23 @@ void RequestTracer::record(const TraceScope& scope, TraceOp op,
                            std::string_view name, std::string_view object_id,
                            std::string_view tier, bool ok,
                            std::uint64_t rule_id) {
+  record_scope(scope, op, name, object_id, tier,
+               ok ? StatusCode::kOk : StatusCode::kInternal, scope.elapsed(),
+               rule_id);
+}
+
+void RequestTracer::record_op(const TraceScope& scope, TraceOp op,
+                              std::string_view object_id,
+                              std::string_view tier, StatusCode status,
+                              Duration elapsed) {
+  record_scope(scope, op, "", object_id, tier, status, elapsed, 0);
+}
+
+void RequestTracer::record_scope(const TraceScope& scope, TraceOp op,
+                                 std::string_view name,
+                                 std::string_view object_id,
+                                 std::string_view tier, StatusCode status,
+                                 Duration elapsed, std::uint64_t rule_id) {
   if (!enabled()) return;
   Span span;
   span.trace_id = scope.trace_id();
@@ -145,8 +162,8 @@ void RequestTracer::record(const TraceScope& scope, TraceOp op,
   copy_truncated(span.object_id, sizeof(span.object_id), object_id);
   copy_truncated(span.tier, sizeof(span.tier), tier);
   span.start_us = to_us_ticks(scope.start());
-  span.duration_ms = to_ms(scope.elapsed());
-  span.ok = ok;
+  span.duration_ms = to_ms(elapsed);
+  span.status = status;
   fill_slot(span);
 }
 
@@ -179,7 +196,7 @@ std::string RequestTracer::dump(std::size_t last_n) const {
                   std::string(to_string(span.op)).c_str(),
                   span.object_id[0] ? span.object_id : span.name,
                   span.tier[0] ? span.tier : "-", span.duration_ms,
-                  span.ok ? "ok" : "FAILED",
+                  span.ok() ? "ok" : "FAILED",
                   static_cast<unsigned long long>(span.trace_id),
                   static_cast<unsigned long long>(span.span_id),
                   static_cast<unsigned long long>(span.parent_span_id),
@@ -220,7 +237,7 @@ std::string RequestTracer::dump_tree(std::uint64_t trace_id) const {
                   depth * 2, "", std::string(to_string(span.op)).c_str(),
                   span.name, span.object_id[0] ? " " : "", span.object_id,
                   span.tier[0] ? span.tier : "-", span.duration_ms,
-                  span.ok ? "ok" : "FAILED");
+                  span.ok() ? "ok" : "FAILED");
     out += line;
     const auto it = children.find(span.span_id);
     if (it == children.end()) return;
@@ -284,7 +301,7 @@ std::string render_chrome_trace(
         static_cast<unsigned long long>(span->parent_span_id),
         static_cast<unsigned long long>(span->rule_id),
         json_escape(span->object_id).c_str(), json_escape(span->tier).c_str(),
-        span->ok ? "true" : "false");
+        span->ok() ? "true" : "false");
     out += buf;
     first = false;
   }

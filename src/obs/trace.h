@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/status.h"
 #include "common/trace_context.h"
 
 namespace tiera {
@@ -64,7 +65,12 @@ class RequestTracer {
     char tier[24] = {};       // tier served/stored ("" when none)
     std::int64_t start_us = 0;  // steady-clock microseconds at span start
     double duration_ms = 0;
-    bool ok = false;
+    // An application op's result code. Spans recorded with only an ok flag
+    // (rule firings, responses, retries, hedges) store kInternal for
+    // "failed".
+    StatusCode status = StatusCode::kOk;
+
+    bool ok() const { return status == StatusCode::kOk; }
   };
 
   explicit RequestTracer(std::size_t capacity = 512);
@@ -100,6 +106,13 @@ class RequestTracer {
               std::string_view object_id, std::string_view tier, bool ok,
               std::uint64_t rule_id = 0);
 
+  // Records an application op's root span (PUT/GET/DELETE) with its result
+  // code; `elapsed` is the op's one latency value, shared with its other
+  // completion records.
+  void record_op(const TraceScope& scope, TraceOp op,
+                 std::string_view object_id, std::string_view tier,
+                 StatusCode status, Duration elapsed);
+
   // The newest `last_n` spans, oldest first.
   std::vector<Span> snapshot(std::size_t last_n) const;
   // Text rendering of snapshot(last_n), one line per span.
@@ -125,6 +138,10 @@ class RequestTracer {
     bool valid = false;
   };
 
+  void record_scope(const TraceScope& scope, TraceOp op,
+                    std::string_view name, std::string_view object_id,
+                    std::string_view tier, StatusCode status,
+                    Duration elapsed, std::uint64_t rule_id);
   void fill_slot(Span span);
   void maybe_log_slow(const Span& span);
 

@@ -160,7 +160,7 @@ std::size_t Tier::io_slots() const {
 }
 
 Status Tier::put(std::string_view key, ByteView value) {
-  // Latency is sampled (see latency_sample_every()); counters stay exact.
+  // Latency is sampled (1 in kLatencySampleEvery); counters stay exact.
   const bool timed =
       latency_sample_hit(stats_.puts.load(std::memory_order_relaxed));
   const TimePoint start = timed ? now() : TimePoint{};

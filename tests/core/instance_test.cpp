@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <thread>
 
+#include "common/hash.h"
+#include "common/random.h"
 #include "core/responses.h"
 #include "core/templates.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -372,6 +377,204 @@ TEST_F(JournalAccountingTest, AccessStatsAreSoftState) {
   ASSERT_TRUE(soft.ok());
   EXPECT_LE(soft->access_count, kGets);
 }
+
+TEST_F(JournalAccountingTest, RestartDropsVolatileLocations) {
+  constexpr int kObjects = 4;
+  {
+    auto instance = open_instance();
+    for (int i = 0; i < kObjects; ++i) {
+      const std::string id = "obj" + std::to_string(i);
+      ASSERT_TRUE(instance->put(id, as_view(make_payload(64, i))).ok());
+      EXPECT_TRUE(instance->stat(id)->in_tier("tier1"));
+    }
+  }
+  // Memcached (tier1) restarts empty; EBS (tier2) keeps its bytes.
+  auto reopened = open_instance();
+  for (int i = 0; i < kObjects; ++i) {
+    const auto meta = reopened->stat("obj" + std::to_string(i));
+    ASSERT_TRUE(meta.ok());
+    EXPECT_FALSE(meta->in_tier("tier1")) << meta->id;
+    EXPECT_TRUE(meta->in_tier("tier2")) << meta->id;
+  }
+  EXPECT_EQ(reopened->metadata().count_in_tier("tier1"), 0u);
+  EXPECT_EQ(reopened->metadata().count_in_tier("tier2"),
+            static_cast<std::size_t>(kObjects));
+
+  const TierPtr tier1 = reopened->tier("tier1");
+  const std::uint64_t tier1_gets = tier1->stats().gets.load();
+  auto got = reopened->get("obj0");
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(*got, make_payload(64, 0));
+  EXPECT_EQ(tier1->stats().gets.load(), tier1_gets)
+      << "the first GET after restart must not ask the empty tier";
+}
+
+// Every PUT/GET/DELETE leaves exactly one completion record, whatever path it
+// exits by: one flight-recorder op event and one tracer span carrying its
+// status code; `failures` and the error-rate SLO count the non-OK results
+// except NotFound, and `get_misses` counts the NotFound GETs. Random calls
+// over a small id pool (present and absent ids, overwrites) with fail-stop
+// faults on the placement tier, run across a restart: encrypted objects
+// written before it are read after it with no key registered.
+class OpRecordPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OpRecordPropertyTest, EveryCallRecordsOnce) {
+  ZeroLatencyScope zero_latency;
+  TempDir dir;
+  const std::uint64_t seed = GetParam();
+  std::vector<std::string> ids;
+  std::set<std::uint64_t> hashes;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back("op" + std::to_string(seed) + "/k" + std::to_string(i));
+    hashes.insert(fnv1a64(ids.back()));
+  }
+  // This run's op events, keyed by (verb, status code).
+  using Path = std::pair<int, int>;
+  const auto flight_ops = [&] {
+    std::map<Path, int> counts;
+    for (const FlightEvent& ev : FlightRecorder::global().merged()) {
+      if (ev.kind == FlightKind::kOp && hashes.count(ev.a)) {
+        ++counts[{ev.verb, ev.status}];
+      }
+    }
+    return counts;
+  };
+  Rng rng(seed);
+  std::set<Path> seen;  // exit paths covered
+
+  // One instance lifetime of `steps` random steps; its counters and SLO are
+  // checked against the results it returned.
+  const auto run = [&](bool encrypt, int steps) {
+    InstanceConfig config;
+    config.name = "oprec" + std::to_string(seed);
+    config.data_dir = dir.sub("inst");
+    // No rules and plain tiers: the op spans are the only spans. The
+    // placement tier (the first) is durable, so objects outlive a restart.
+    config.tiers = {{"EBS", "tier1", 1 << 20}, {"Memcached", "tier2", 1 << 20}};
+    config.persist_metadata = true;
+    config.trace_requests = true;
+    config.trace_capacity = 4096;
+    auto created = TieraInstance::create(std::move(config));
+    ASSERT_TRUE(created.ok()) << created.status().to_string();
+    TieraInstance& instance = **created;
+    SloSpec slo;
+    slo.name = "error_rate";
+    slo.signal = SloSignal::kErrorRate;
+    slo.target_fraction = 0.5;
+    ASSERT_TRUE(instance.add_slo(slo).ok());
+    const TierPtr placement = instance.tier("tier1");
+    std::uint64_t puts = 0, gets = 0, removes = 0, misses = 0, failures = 0;
+    std::uint64_t slo_samples = 0;
+    std::map<Path, int> before = flight_ops();
+    // One API call and the checks of its records.
+    const auto call = [&](FlightOp verb, const std::string& id, int step) {
+      const std::uint64_t spans = instance.tracer().total_recorded();
+      TraceOp trace_op = TraceOp::kPut;
+      StatusCode code;
+      if (verb == FlightOp::kPut) {
+        code = instance.put(id, as_view(make_payload(32, step))).code();
+        ++puts;
+      } else if (verb == FlightOp::kGet) {
+        trace_op = TraceOp::kGet;
+        code = instance.get(id).status().code();
+        if (code == StatusCode::kOk) ++gets;
+        if (code == StatusCode::kNotFound) ++misses;
+      } else {
+        trace_op = TraceOp::kDelete;
+        code = instance.remove(id).code();
+        if (code == StatusCode::kOk) ++removes;
+      }
+      if (code != StatusCode::kOk && code != StatusCode::kNotFound) {
+        ++failures;
+      }
+      if (code != StatusCode::kNotFound) ++slo_samples;
+      const Path path{static_cast<int>(verb), static_cast<int>(code)};
+      seen.insert(path);
+      SCOPED_TRACE("step " + std::to_string(step) + ": verb " +
+                   std::to_string(path.first) + " " +
+                   std::string(to_string(code)));
+
+      std::map<Path, int> after = flight_ops();
+      int new_events = 0;
+      for (const auto& [p, n] : after) new_events += n - before[p];
+      EXPECT_EQ(new_events, 1);
+      EXPECT_EQ(after[path] - before[path], 1);
+      before = std::move(after);
+
+      ASSERT_EQ(instance.tracer().total_recorded() - spans, 1u);
+      const auto newest = instance.tracer().snapshot(1);
+      ASSERT_EQ(newest.size(), 1u);
+      EXPECT_EQ(newest[0].op, trace_op);
+      EXPECT_EQ(newest[0].status, code);
+      EXPECT_EQ(std::string(newest[0].object_id), id);
+    };
+    // After a restart, read every id first: the encrypted ones have no key.
+    if (!encrypt) {
+      for (const auto& id : ids) call(FlightOp::kGet, id, -1);
+    }
+    for (int step = 0; step < steps; ++step) {
+      const std::string& id = ids[rng.next_below(ids.size())];
+      const std::uint64_t dice = rng.next_below(100);
+      if (dice < 8) {
+        if (placement->failure_mode() == FailureMode::kNone) {
+          placement->inject_failure(FailureMode::kFailStop);
+        } else {
+          placement->heal();
+        }
+      } else if (dice < 14) {
+        if (encrypt) (void)instance.engine_encrypt({id}, derive_key("k"));
+      } else {
+        call(dice < 50   ? FlightOp::kPut
+             : dice < 85 ? FlightOp::kGet
+                         : FlightOp::kDelete,
+             id, step);
+      }
+    }
+    placement->heal();
+    if (encrypt) {
+      // At least one encrypted object crosses the restart.
+      call(FlightOp::kPut, ids[0], steps);
+      ASSERT_TRUE(instance.engine_encrypt({ids[0]}, derive_key("k")).ok());
+    }
+
+    const InstanceStats& stats = instance.stats();
+    EXPECT_EQ(stats.puts.load(), puts);
+    EXPECT_EQ(stats.gets.load(), gets);
+    EXPECT_EQ(stats.removes.load(), removes);
+    EXPECT_EQ(stats.get_misses.load(), misses);
+    EXPECT_EQ(stats.failures.load(), failures);
+    EXPECT_EQ(stats.put_latency.count(), puts);
+    EXPECT_EQ(stats.get_latency.count(), gets);
+    EXPECT_EQ(stats.delete_latency.count(), removes);
+    const std::vector<SloStatus> rows = instance.slo().status();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].samples, slo_samples);
+    EXPECT_EQ(std::llround(rows[0].current *
+                           static_cast<double>(rows[0].samples)),
+              static_cast<long long>(failures));
+  };
+  // A fresh thread owns a fresh flight ring, so this run's events never
+  // wrap into older ones.
+  std::thread runner([&] {
+    run(/*encrypt=*/true, 150);
+    run(/*encrypt=*/false, 150);  // restarted: no key registered
+  });
+  runner.join();
+
+  // The run reached every exit kind the guard must cover.
+  const auto covered = [&](FlightOp verb, StatusCode code) {
+    return seen.count({static_cast<int>(verb), static_cast<int>(code)}) > 0;
+  };
+  EXPECT_TRUE(covered(FlightOp::kPut, StatusCode::kUnavailable));
+  EXPECT_TRUE(covered(FlightOp::kGet, StatusCode::kNotFound));
+  EXPECT_TRUE(covered(FlightOp::kGet, StatusCode::kUnavailable));
+  EXPECT_TRUE(covered(FlightOp::kGet, StatusCode::kCorruption));
+  EXPECT_TRUE(covered(FlightOp::kDelete, StatusCode::kNotFound));
+  EXPECT_TRUE(covered(FlightOp::kDelete, StatusCode::kUnavailable));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OpRecordPropertyTest,
+                         ::testing::Values(1, 7, 42));
 
 }  // namespace
 }  // namespace tiera

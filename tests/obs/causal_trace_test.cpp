@@ -92,7 +92,7 @@ TEST_F(CausalTraceTest, BackgroundThresholdResponseLinksToTriggeringPut) {
   EXPECT_EQ(response->trace_id, put->trace_id);
   EXPECT_EQ(response->rule_id, rule_id);
   EXPECT_NE(std::string(response->name).find("move"), std::string::npos);
-  EXPECT_TRUE(response->ok);
+  EXPECT_TRUE(response->ok());
 
   // dump_tree renders the whole causal chain under the PUT root.
   const std::string tree = instance->tracer().dump_tree(put->trace_id);

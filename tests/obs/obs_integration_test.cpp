@@ -85,7 +85,7 @@ TEST_F(ObsIntegrationTest, PutGetSequenceProducesCounterDeltas) {
   const auto spans = instance->tracer().snapshot(100);
   ASSERT_EQ(spans.size(), 11u);
   EXPECT_EQ(spans.back().op, TraceOp::kGet);
-  EXPECT_FALSE(spans.back().ok);
+  EXPECT_FALSE(spans.back().ok());
   EXPECT_STREQ(spans[5].tier, "obs_m1");  // first GET served from memory
 }
 

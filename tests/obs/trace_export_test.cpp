@@ -34,7 +34,7 @@ RequestTracer::Span make_span(std::uint64_t seq, std::uint64_t trace,
   std::snprintf(s.tier, sizeof(s.tier), "%s", tier);
   s.start_us = start_us;
   s.duration_ms = duration_ms;
-  s.ok = ok;
+  s.status = ok ? StatusCode::kOk : StatusCode::kInternal;
   return s;
 }
 

@@ -22,10 +22,10 @@ TEST(RequestTracerTest, RecordsSpansInOrder) {
   EXPECT_EQ(spans[0].op, TraceOp::kPut);
   EXPECT_STREQ(spans[0].object_id, "obj1");
   EXPECT_STREQ(spans[0].tier, "m1");
-  EXPECT_TRUE(spans[0].ok);
+  EXPECT_TRUE(spans[0].ok());
   EXPECT_NEAR(spans[0].duration_ms, 1.5, 1e-9);
   EXPECT_EQ(spans[2].op, TraceOp::kGet);
-  EXPECT_FALSE(spans[2].ok);
+  EXPECT_FALSE(spans[2].ok());
   EXPECT_LT(spans[0].seq, spans[1].seq);
   EXPECT_LT(spans[1].seq, spans[2].seq);
 }
@@ -143,7 +143,7 @@ TEST(RequestTracerTest, ConcurrentRecordersKeepCapacityInvariant) {
             static_cast<std::uint64_t>(kThreads) * kOps);
   const auto spans = tracer.snapshot(1000);
   EXPECT_EQ(spans.size(), 32u);
-  for (const auto& span : spans) EXPECT_TRUE(span.ok);
+  for (const auto& span : spans) EXPECT_TRUE(span.ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #   $ tools/ci.sh soak      # compressed million-user soak + admission gates
 #   $ tools/ci.sh format    # clang-format check (skips if not installed)
 #   $ tools/ci.sh all       # everything above, in order
+#   $ tools/ci.sh lines [base-ref]  # src/ and tests/ line delta (no build)
 #
 # Each stage uses its own build tree (build-ci-*/, gitignored via build-*/)
 # so they never contaminate a developer's default build/.
@@ -139,6 +140,24 @@ stage_soak() {
     "${repo_root}/build-ci-release/soak_report.txt"
 }
 
+# Added, removed and net lines of src/ and tests/ in the working tree against
+# the merge-base with `base-ref` (default origin/main). Counts tracked files,
+# so `git add` new ones first. CHANGES.md reports each change's src/ net.
+stage_lines() {
+  local base_ref="${1:-origin/main}"
+  local base
+  base="$(git -C "${repo_root}" merge-base "${base_ref}" HEAD)"
+  echo "=== ci: line delta vs ${base_ref} (merge-base ${base:0:12}) ==="
+  local dir
+  for dir in src tests; do
+    git -C "${repo_root}" diff --numstat "${base}" -- "${dir}" |
+      awk -v dir="${dir}/" '
+        $1 != "-" { added += $1; removed += $2 }
+        END { printf "%-7s +%d -%d net %+d\n", dir, added, removed,
+                     added - removed }'
+  done
+}
+
 stage_format() {
   echo "=== ci: clang-format check ==="
   if ! command -v clang-format >/dev/null 2>&1; then
@@ -159,10 +178,14 @@ stage_format() {
 }
 
 usage() {
-  sed -n '2,20p' "$0"
+  sed -n '2,21p' "$0"
   exit 2
 }
 
+if [[ $# -ge 1 && $# -le 2 && "$1" == lines ]]; then
+  stage_lines "${2:-}"
+  exit 0
+fi
 [[ $# -eq 1 ]] || usage
 case "$1" in
   release) stage_release ;;
