@@ -152,25 +152,17 @@ int main(int argc, char** argv) {
         n = static_cast<std::uint32_t>(std::atoi(argv[i]));
       }
     }
-    if (json) {
-      // Fetch structured spans and render Chrome trace-event JSON locally,
-      // so the output is a file chrome://tracing / Perfetto load directly.
-      auto spans = (*client)->trace_spans(n ? n : 512u);
-      if (!spans.ok()) {
-        std::fprintf(stderr, "trace failed: %s\n",
-                     spans.status().to_string().c_str());
-        return 1;
-      }
-      std::fputs(render_chrome_trace(*spans).c_str(), stdout);
-      return 0;
-    }
-    auto text = (*client)->trace(n ? n : 32u);
-    if (!text.ok()) {
+    // Fetch structured spans and render them locally: Chrome trace-event
+    // JSON (a file chrome://tracing / Perfetto load directly) or text.
+    auto spans = (*client)->trace_spans(n ? n : json ? 512u : 32u);
+    if (!spans.ok()) {
       std::fprintf(stderr, "trace failed: %s\n",
-                   text.status().to_string().c_str());
+                   spans.status().to_string().c_str());
       return 1;
     }
-    std::fputs(text->c_str(), stdout);
+    std::fputs(json ? render_chrome_trace(*spans).c_str()
+                    : render_spans(*spans).c_str(),
+               stdout);
     return 0;
   }
   if (command == "top") {

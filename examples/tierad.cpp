@@ -48,10 +48,9 @@
 // fields — see DESIGN.md §8): --retries=3 --deadline=50ms --breaker=5
 // --hedge=95%.
 //
-// Tracing knobs (read by every served instance): TIERA_TRACE_CAPACITY sizes
-// the span ring (overflow counts into `tiera_trace_dropped_total`), and
-// TIERA_SLOW_OP_MS logs completed span trees slower than the threshold.
-// `tiera_cli trace --json` and `tiera_cli top` consume the result.
+// Tracing knob: TIERA_SLOW_OP_MS logs completed span trees slower than the
+// threshold. Spans live in the flight recorder's rings (TIERA_FLIGHT_CAPACITY
+// sizes them); `tiera_cli trace [--json]` and `tiera_cli top` read them.
 //
 // A second process (or the remote client API) can then connect:
 //   auto client = RemoteTieraClient::connect("127.0.0.1", port);
@@ -187,10 +186,6 @@ int main(int argc, char** argv) {
                  instance.status().to_string().c_str());
     return 1;
   }
-  // Served instances always trace: the kTrace verb / `tiera_cli trace`
-  // should answer "what did the last N requests do" out of the box.
-  (*instance)->tracer().set_enabled(true);
-
   TieraServer server(**instance, port, reactor);
   if ((spec->has_admission() || force_admission) && !no_admission) {
     auto admission = spec->admission_config();

@@ -10,8 +10,8 @@
 // PUT.
 //
 // This header lives in common (not obs) so ThreadPool can carry contexts
-// without the common layer depending on the metrics/tracing library; the
-// tracer in src/obs consumes these ids when it records spans.
+// without the common layer depending on the metrics/tracing library; span
+// recording in src/obs/trace.h consumes these ids.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,8 @@ class ScopedTraceContext {
 
 // RAII span: opens a new span under the ambient context (minting a fresh
 // trace when there is none — i.e. this is a root span), installs itself as
-// the ambient context, and remembers its start time. The tracer records the
-// span via `RequestTracer::record(scope, ...)` before the scope dies.
+// the ambient context, and remembers its start time. The owner records the
+// span via `record_span(scope, ...)` (obs/trace.h) before the scope dies.
 class TraceScope {
  public:
   TraceScope();

@@ -141,7 +141,6 @@ void ControlLayer::run_responses(const std::shared_ptr<Rule>& rule,
   // via ThreadPool), a new root for timer/threshold firings off the timer
   // thread.
   TraceScope event_span;
-  RequestTracer& tracer = instance_.tracer();
   events_fired_.fetch_add(1, std::memory_order_relaxed);
   metrics_.events_fired->inc();
   metrics_.active_responses->add(1);
@@ -160,8 +159,9 @@ void ControlLayer::run_responses(const std::shared_ptr<Rule>& rule,
   for (const auto& response : rule->responses) {
     TraceScope response_span;
     const Status s = response->execute(ctx);
-    tracer.record(response_span, TraceOp::kResponse, response->describe(),
-                  ctx.object_id, "", s.ok(), rule->id);
+    record_span(response_span, FlightOp::kResponse, response->describe(),
+                ctx.object_id, "", s.code(), response_span.elapsed(),
+                rule->id);
     if (!s.ok()) {
       all_ok = false;
       responses_failed_.fetch_add(1, std::memory_order_relaxed);
@@ -182,10 +182,12 @@ void ControlLayer::run_responses(const std::shared_ptr<Rule>& rule,
     rule->stats->bytes_moved->inc(ctx.bytes_moved - bytes_before);
     rule->stats->objects_touched->inc(ctx.objects_touched - objects_before);
   }
-  tracer.record(event_span, TraceOp::kEvent,
-                rule->name.empty() ? "rule:" + std::to_string(rule->id)
-                                   : "rule:" + rule->name,
-                ctx.object_id, "", all_ok, rule->id);
+  record_span(event_span, FlightOp::kEvent,
+              rule->name.empty() ? "rule:" + std::to_string(rule->id)
+                                 : "rule:" + rule->name,
+              ctx.object_id, "",
+              all_ok ? StatusCode::kOk : StatusCode::kInternal,
+              event_span.elapsed(), rule->id);
   ctx.rule_id = saved_rule_id;
   ctx.rule_name = std::move(saved_rule_name);
   metrics_.active_responses->add(-1);

@@ -14,14 +14,13 @@
 #include "obs/flight_recorder.h"
 #include "obs/pool_metrics.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace tiera {
 
 TieraInstance::TieraInstance(InstanceConfig config)
     : config_(std::move(config)),
-      factory_(config_.data_dir),
-      tracer_(RequestTracer::capacity_from_env(config_.trace_capacity)) {
-  tracer_.set_enabled(config_.trace_requests);
+      factory_(config_.data_dir) {
   MetricsRegistry& reg = MetricsRegistry::global();
   metrics_.puts = &reg.counter("tiera_instance_puts_total");
   metrics_.gets = &reg.counter("tiera_instance_gets_total");
@@ -144,13 +143,11 @@ Status TieraInstance::add_tier(const TierSpec& spec) {
   Result<TierPtr> tier = factory_.create(spec);
   if (!tier.ok()) return tier.status();
   if (auto* resilient = dynamic_cast<ResilientTier*>(tier->get())) {
-    // Retry spans join the request's causal trace, and breaker transitions
-    // schedule a threshold pass so failover rules (`tierX.breaker == open`)
-    // fire without waiting for the next mutation. The evaluation runs on
-    // the control layer's timer thread: a breaker can flip inside a tier op
-    // that a response is running under an object stripe, where firing rules
-    // inline could deadlock.
-    resilient->set_tracer(&tracer_);
+    // Breaker transitions schedule a threshold pass so failover rules
+    // (`tierX.breaker == open`) fire without waiting for the next mutation.
+    // The evaluation runs on the control layer's timer thread: a breaker can
+    // flip inside a tier op that a response is running under an object
+    // stripe, where firing rules inline could deadlock.
     resilient->set_breaker_listener([this](BreakerState) {
       if (control_) control_->request_threshold_evaluation();
     });
@@ -241,9 +238,9 @@ std::vector<std::string> TieraInstance::tier_labels() const {
 // The completion record of one PUT/GET/DELETE (the rule: DESIGN.md §6).
 // Opened at the API entry, it owns the op's root trace span, whose start is
 // the op's start, and its stage books. On every exit it records the op once,
-// with one elapsed value, into stats, SLO, tracer and flight recorder, and on
-// a GET hit into tier hits, heat and cost. An exit that never calls finish()
-// records kInternal, so a forgotten path shows as a failure.
+// with one elapsed value, into stats, SLO and its flight-recorder span, and
+// on a GET hit into tier hits, heat and cost. An exit that never calls
+// finish() records kInternal, so a forgotten path shows as a failure.
 class TieraInstance::OpRecord {
  public:
   OpRecord(TieraInstance& instance, StageOp op, std::string_view object_id)
@@ -281,14 +278,12 @@ TieraInstance::OpRecord::~OpRecord() {
   if (!ok && !miss) stats.failures.fetch_add(1, std::memory_order_relaxed);
   // puts count every attempt; gets and removes count OK results.
   if (ok || op_ == StageOp::kPut) stats.ops.add();
-  TraceOp trace_op = TraceOp::kPut;
   FlightOp flight_op = FlightOp::kPut;
   if (op_ == StageOp::kPut) {
     stats.puts.fetch_add(1, std::memory_order_relaxed);
     stats.put_latency.record(elapsed);
     if (!miss) instance_.slo_.record_put(elapsed, tier, ok);
   } else if (op_ == StageOp::kGet) {
-    trace_op = TraceOp::kGet;
     flight_op = FlightOp::kGet;
     if (miss) stats.get_misses.fetch_add(1, std::memory_order_relaxed);
     if (!miss) instance_.slo_.record_get(elapsed, tier, ok);
@@ -304,7 +299,6 @@ TieraInstance::OpRecord::~OpRecord() {
       }
     }
   } else {
-    trace_op = TraceOp::kDelete;
     flight_op = FlightOp::kDelete;
     if (!miss) instance_.slo_.record_delete(elapsed, ok);
     if (ok) {
@@ -312,16 +306,10 @@ TieraInstance::OpRecord::~OpRecord() {
       stats.delete_latency.record(elapsed);
     }
   }
-  instance_.tracer_.record_op(span_, trace_op, object_id_, tier, status_,
-                              elapsed);
-  // Not sampled: a handful of relaxed atomic stores, measured under the
-  // BM_InstancePut4K overhead gate.
-  FlightRecorder::global().record_op(
-      flight_op, object_id_, status_,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-              .count()),
-      current_stage_digest());
+  // Not sampled: one flight slot of relaxed atomic stores, measured under
+  // the BM_InstancePut4K overhead gate.
+  record_span(span_, flight_op, flight_tenant(), object_id_, tier, status_,
+              elapsed, 0, current_stage_digest());
 }
 
 Status TieraInstance::put(std::string_view id, ByteView data,
@@ -395,7 +383,20 @@ Status TieraInstance::put(std::string_view id, ByteView data,
   }
 
   if (!ctx.stored) {
-    if (stale_locations.empty()) (void)meta_.erase(object_id);
+    if (stale_locations.empty()) {
+      (void)meta_.erase(object_id);
+    } else {
+      // A rejected overwrite leaves the old object as it was: its bytes
+      // never moved, so neither may the record that describes them.
+      (void)meta_.update(object_id, [&](ObjectMeta& cur) {
+        cur.size = old->size;
+        cur.dirty = old->dirty;
+        cur.compressed = old->compressed;
+        cur.encrypted = old->encrypted;
+        cur.tags = old->tags;
+        return true;
+      });
+    }
   } else {
     op.tier = ctx.stored_tiers.front();
     // Drop stale copies left in tiers the new placement did not touch (the
@@ -613,12 +614,9 @@ std::optional<Result<Bytes>> TieraInstance::read_hedged(
     // Primary exceeded its latency quantile: issue the hedge and take
     // whichever location answers first.
     auto* resilient = dynamic_cast<ResilientTier*>(primary.tier.get());
-    std::optional<TraceScope> span;
+    const TimePoint hedge_start = now();
     const bool hedged = launch(1, secondary.tier);
-    if (hedged) {
-      if (resilient) resilient->note_hedge_issued();
-      if (tracer_.enabled()) span.emplace();
-    }
+    if (hedged && resilient) resilient->note_hedge_issued();
     race->cv.wait(lock, [&] {
       if (!hedged) return race->results[0].has_value();
       return (race->results[0] && race->results[1]) ||
@@ -628,9 +626,10 @@ std::optional<Result<Bytes>> TieraInstance::read_hedged(
     const bool hedge_won =
         !(race->results[0] && race->results[0]->ok()) &&
         race->results[1] && race->results[1]->ok();
-    if (span) {
-      tracer_.record(*span, TraceOp::kHedge, "hedge", object_id,
-                     secondary.label, hedge_won);
+    if (hedged) {
+      record_leaf_span(FlightOp::kHedge, hedge_start, "hedge", object_id,
+                       secondary.label,
+                       hedge_won ? StatusCode::kOk : StatusCode::kInternal);
     }
     if (race->results[0] && race->results[0]->ok()) {
       if (served_tier) *served_tier = primary.label;
@@ -997,7 +996,12 @@ Status TieraInstance::engine_delete(const std::vector<std::string>& ids,
       if (t.ok() && !content_needed_in_tier(*meta, label)) {
         StageTimer io_stage(Stage::kTierIo);
         const Status s = (*t)->remove(meta->storage_key());
-        if (!s.ok() && !s.is_not_found()) last = s;
+        if (!s.ok() && !s.is_not_found()) {
+          // The bytes may still be there: keep the location, so the object
+          // stays readable and a retried remove can finish.
+          last = s;
+          continue;
+        }
       }
       (void)meta_.update(id, [&](ObjectMeta& cur) {
         cur.locations.erase(label);
@@ -1374,7 +1378,7 @@ std::string TieraInstance::render_top(std::string_view sections) const {
     std::snprintf(
         line, sizeof(line),
         "puts=%llu gets=%llu removes=%llu misses=%llu failures=%llu "
-        "policy_bytes=%s policy_objects=%llu trace_dropped=%llu\n\n",
+        "policy_bytes=%s policy_objects=%llu flight_dropped=%llu\n\n",
         static_cast<unsigned long long>(stats_.puts.load()),
         static_cast<unsigned long long>(stats_.gets.load()),
         static_cast<unsigned long long>(stats_.removes.load()),
@@ -1382,7 +1386,7 @@ std::string TieraInstance::render_top(std::string_view sections) const {
         static_cast<unsigned long long>(stats_.failures.load()),
         human_bytes(stats_.policy_bytes.load()).c_str(),
         static_cast<unsigned long long>(stats_.policy_objects.load()),
-        static_cast<unsigned long long>(tracer_.dropped()));
+        static_cast<unsigned long long>(FlightRecorder::global().dropped()));
     out += line;
   }
 

@@ -31,7 +31,6 @@
 #include "obs/heat.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace.h"
 #include "store/cost_model.h"
 #include "store/tier_factory.h"
 
@@ -64,14 +63,6 @@ struct InstanceConfig {
   // prototype supports seconds granularity; we default finer so scaled
   // benches stay accurate.
   Duration timer_tick = from_ms(50);
-  // Request tracing: keep a ring of the last `trace_capacity` PUT/GET/DELETE
-  // spans (op, object, tier, duration, outcome). Opt-in: recording costs a
-  // slot mutex and two copies per request, which embedded benches don't want
-  // to pay. tierad enables it for every served instance.
-  bool trace_requests = false;
-  // Ring size; the TIERA_TRACE_CAPACITY environment variable overrides it
-  // (overflow shows up in `tiera_trace_dropped_total`).
-  std::size_t trace_capacity = 512;
   // Heat & spend telemetry: per-object access-frequency sketches
   // (tiera_heat_*) and the live cost meter (tiera_cost_*,
   // tiera_tier_{read,write}_bytes_total). On by default — the combined
@@ -225,8 +216,6 @@ class TieraInstance {
   MetadataStore& metadata() { return meta_; }
   const MetadataStore& metadata() const { return meta_; }
   InstanceStats& stats() { return stats_; }
-  RequestTracer& tracer() { return tracer_; }
-  const RequestTracer& tracer() const { return tracer_; }
   // Live per-tier / per-rule activity tables (the `tiera_cli top` view).
   // `sections` filters which tables print: a comma-separated subset of
   // {header,tiers,slo,rules,pool,heat,cost,admission}; empty renders
@@ -317,7 +306,6 @@ class TieraInstance {
   SloEngine slo_{config_.name};
   // Server-owned admission controller, observed (not owned) for `top`.
   std::atomic<const AdmissionController*> admission_view_{nullptr};
-  RequestTracer tracer_;
   // Heat & spend telemetry (null when config_.track_heat is false).
   std::unique_ptr<HeatTracker> heat_;
   std::unique_ptr<CostMeter> cost_;

@@ -751,7 +751,7 @@ void ReactorServer::dispatch(Request request) {
 void ReactorServer::execute(const Request& request) {
   Stopwatch watch;
   // Publish the caller's tenant for the duration of the handler so the
-  // flight recorder's op events carry it.
+  // request spans in the flight recorder carry it.
   set_flight_tenant(request.tenant);
   WireWriter response;
   response.u64(request.request_id);

@@ -324,17 +324,6 @@ void TieraServer::register_handlers() {
       });
 
   server_.register_handler(
-      static_cast<std::uint8_t>(TieraMethod::kTrace),
-      [this](ByteView body) -> Result<Bytes> {
-        std::uint32_t last_n = 32;
-        if (!body.empty()) {
-          WireReader r(body);
-          TIERA_RETURN_IF_ERROR(r.u32(last_n));
-        }
-        return to_bytes(instance_.tracer().dump(last_n));
-      });
-
-  server_.register_handler(
       static_cast<std::uint8_t>(TieraMethod::kSlo),
       [this](ByteView) -> Result<Bytes> {
         const std::vector<SloStatus> rows = instance_.slo().status();
@@ -454,24 +443,22 @@ void TieraServer::register_handlers() {
           WireReader r(body);
           TIERA_RETURN_IF_ERROR(r.u32(last_n));
         }
-        const std::vector<RequestTracer::Span> spans =
-            instance_.tracer().snapshot(last_n);
+        const std::vector<FlightEvent> spans = recent_spans(last_n);
         WireWriter w;
         w.u32(static_cast<std::uint32_t>(spans.size()));
         for (const auto& span : spans) {
-          w.u64(span.seq);
           w.u64(span.trace_id);
           w.u64(span.span_id);
           w.u64(span.parent_span_id);
-          w.u64(span.rule_id);
+          w.u64(span.rule_id());
           w.u8(static_cast<std::uint8_t>(span.op));
-          w.str(span.name);
-          w.str(span.object_id);
+          w.str(span.label);
+          w.str(span.object);
           w.str(span.tier);
-          w.u64(static_cast<std::uint64_t>(span.start_us));
-          // Duration crosses the wire as nanoseconds to stay integral.
-          w.u64(static_cast<std::uint64_t>(span.duration_ms * 1e6));
-          w.u8(static_cast<std::uint8_t>(span.status));
+          w.u64(static_cast<std::uint64_t>(span.t_us));
+          w.u64(span.b);  // elapsed ns
+          w.u8(span.status);
+          w.u8(span.digest);
         }
         return w.take();
       });
@@ -623,16 +610,7 @@ Result<RemoteStatsSummary> RemoteTieraClient::stats_summary() {
   return s;
 }
 
-Result<std::string> RemoteTieraClient::trace(std::uint32_t last_n) {
-  WireWriter w;
-  w.u32(last_n);
-  Result<Bytes> reply = client_->call(
-      static_cast<std::uint8_t>(TieraMethod::kTrace), as_view(w.data()));
-  if (!reply.ok()) return reply.status();
-  return std::string(reply->begin(), reply->end());
-}
-
-Result<std::vector<RequestTracer::Span>> RemoteTieraClient::trace_spans(
+Result<std::vector<FlightEvent>> RemoteTieraClient::trace_spans(
     std::uint32_t last_n) {
   WireWriter w;
   w.u32(last_n);
@@ -642,33 +620,30 @@ Result<std::vector<RequestTracer::Span>> RemoteTieraClient::trace_spans(
   WireReader r(as_view(*reply));
   std::uint32_t count = 0;
   TIERA_RETURN_IF_ERROR(r.u32(count));
-  std::vector<RequestTracer::Span> spans;
+  std::vector<FlightEvent> spans;
   spans.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    RequestTracer::Span span;
-    std::uint64_t start_us = 0, duration_ns = 0;
-    std::uint8_t op = 0, status = 0;
-    std::string name, object_id, tier;
-    TIERA_RETURN_IF_ERROR(r.u64(span.seq));
+    FlightEvent span;
+    std::uint64_t start_us = 0;
+    std::uint8_t op = 0;
+    std::string label, object_id, tier;
     TIERA_RETURN_IF_ERROR(r.u64(span.trace_id));
     TIERA_RETURN_IF_ERROR(r.u64(span.span_id));
     TIERA_RETURN_IF_ERROR(r.u64(span.parent_span_id));
-    TIERA_RETURN_IF_ERROR(r.u64(span.rule_id));
+    TIERA_RETURN_IF_ERROR(r.u64(span.a));
     TIERA_RETURN_IF_ERROR(r.u8(op));
-    TIERA_RETURN_IF_ERROR(r.str(name));
+    TIERA_RETURN_IF_ERROR(r.str(label));
     TIERA_RETURN_IF_ERROR(r.str(object_id));
     TIERA_RETURN_IF_ERROR(r.str(tier));
     TIERA_RETURN_IF_ERROR(r.u64(start_us));
-    TIERA_RETURN_IF_ERROR(r.u64(duration_ns));
-    TIERA_RETURN_IF_ERROR(r.u8(status));
-    span.op = static_cast<TraceOp>(op);
-    std::snprintf(span.name, sizeof(span.name), "%s", name.c_str());
-    std::snprintf(span.object_id, sizeof(span.object_id), "%s",
-                  object_id.c_str());
-    std::snprintf(span.tier, sizeof(span.tier), "%s", tier.c_str());
-    span.start_us = static_cast<std::int64_t>(start_us);
-    span.duration_ms = static_cast<double>(duration_ns) / 1e6;
-    span.status = static_cast<StatusCode>(status);
+    TIERA_RETURN_IF_ERROR(r.u64(span.b));
+    TIERA_RETURN_IF_ERROR(r.u8(span.status));
+    TIERA_RETURN_IF_ERROR(r.u8(span.digest));
+    span.op = static_cast<FlightOp>(op);
+    copy_flight_text(span.label, label);
+    copy_flight_text(span.object, object_id);
+    copy_flight_text(span.tier, tier);
+    span.t_us = static_cast<std::int64_t>(start_us);
     spans.push_back(span);
   }
   return spans;

@@ -12,6 +12,7 @@
 #include "core/instance.h"
 #include "net/reactor.h"
 #include "net/rpc.h"
+#include "obs/trace.h"
 
 namespace tiera {
 
@@ -24,7 +25,8 @@ enum class TieraMethod : std::uint8_t {
   kListTiers = 6,
   kGrowTier = 7,
   kStats = 8,
-  kTrace = 9,
+  // 9 stays unassigned: an older client may still send the removed
+  // text-trace verb, which must keep failing as unknown.
   // Structured span export (u32 count + fixed-shape span records); the text
   // rendering — Chrome trace JSON included — happens client-side.
   kTraceSpans = 10,
@@ -201,11 +203,9 @@ class RemoteTieraClient {
   // sections (header,tiers,slo,rules,pool,heat,cost,admission).
   Result<std::string> stats(std::string_view format);
   Result<RemoteStatsSummary> stats_summary();
-  // Text trace of the server's last `last_n` requests.
-  Result<std::string> trace(std::uint32_t last_n = 32);
-  // Structured spans from the server's trace ring (newest last); feed them
-  // to render_chrome_trace() for a chrome://tracing-loadable file.
-  Result<std::vector<RequestTracer::Span>> trace_spans(
+  // The server's newest `last_n` spans, oldest first; render them with
+  // render_spans() or render_chrome_trace() (obs/trace.h).
+  Result<std::vector<FlightEvent>> trace_spans(
       std::uint32_t last_n = 512);
   // Live state of every declared SLO.
   Result<std::vector<RemoteSloRow>> slo();

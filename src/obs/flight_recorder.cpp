@@ -3,13 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 
 #include "common/clock.h"
-#include "common/hash.h"
 #include "common/profile_stack.h"
 
 namespace tiera {
@@ -17,23 +18,16 @@ namespace tiera {
 namespace {
 
 // Slot payload as relaxed atomic words so the seqlock read side is clean
-// under TSan: 7 data words (56 bytes) + the stamp word = 64 bytes/slot.
-constexpr int kPayloadWords = 7;
-
-// Fixed-point event image packed into the payload words.
-struct PackedEvent {
-  std::int64_t t_us;
-  std::uint64_t a;
-  std::uint64_t b;
-  std::uint8_t kind, verb, status, digest;
-  char pad[4];
-  char label[24];
-};
-static_assert(sizeof(PackedEvent) == kPayloadWords * 8,
-              "flight event must fill exactly the payload words");
+// under TSan: 15 data words (120 bytes) + the stamp word = 128 bytes/slot.
+constexpr int kPayloadWords = 15;
+constexpr std::size_t kPayloadBytes = kPayloadWords * 8;
+static_assert(offsetof(FlightEvent, thread) == kPayloadBytes,
+              "a flight event's stored fields must fill the payload words");
+static_assert(kPayloadBytes + 8 == FlightRecorder::kSlotBytes,
+              "payload words + stamp make one slot");
 
 std::size_t env_capacity() {
-  std::size_t capacity = 1024;
+  std::size_t capacity = 512;
   if (const char* env = std::getenv("TIERA_FLIGHT_CAPACITY")) {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(env, &end, 10);
@@ -53,12 +47,6 @@ std::int64_t steady_us() {
 }
 
 thread_local char t_flight_tenant[24] = {};
-
-void copy_label(char (&dst)[24], std::string_view src) {
-  const std::size_t n = std::min(src.size(), sizeof(dst) - 1);
-  std::memcpy(dst, src.data(), n);
-  std::memset(dst + n, 0, sizeof(dst) - n);
-}
 
 // --- async-signal-safe formatting helpers --------------------------------
 
@@ -91,14 +79,32 @@ void write_all(int fd, const char* buf, std::size_t len) {
 }  // namespace
 
 void set_flight_tenant(std::string_view tenant) {
+  // copy(), not memcpy: an empty view may carry a null data pointer.
   const std::size_t n =
-      std::min(tenant.size(), sizeof(t_flight_tenant) - 1);
-  std::memcpy(t_flight_tenant, tenant.data(), n);
+      tenant.copy(t_flight_tenant, sizeof(t_flight_tenant) - 1);
   t_flight_tenant[n] = '\0';
 }
 
 std::string_view flight_tenant() {
   return std::string_view(t_flight_tenant);
+}
+
+std::string_view to_string(FlightOp op) {
+  switch (op) {
+    case FlightOp::kPut: return "PUT";
+    case FlightOp::kGet: return "GET";
+    case FlightOp::kDelete: return "DELETE";
+    case FlightOp::kEvent: return "EVENT";
+    case FlightOp::kResponse: return "RESPONSE";
+    case FlightOp::kRetry: return "RETRY";
+    case FlightOp::kHedge: return "HEDGE";
+  }
+  return "?";
+}
+
+std::string_view FlightEvent::name() const {
+  if (is_request()) return to_string(op);
+  return std::string_view(label, strnlen(label, sizeof(label)));
 }
 
 // One thread's ring. The owner thread is the only writer; readers (render,
@@ -114,11 +120,11 @@ struct FlightRecorder::ThreadRing {
     }
   }
 
-  void record(const PackedEvent& ev) {
+  void record(const FlightEvent& ev) {
     const std::uint64_t h = head.load(std::memory_order_relaxed);
     const std::size_t slot = h & mask;
     std::uint64_t image[kPayloadWords];
-    std::memcpy(image, &ev, sizeof(image));
+    std::memcpy(image, &ev, kPayloadBytes);
     // Seqlock write: invalidate, fill, publish with the (nonzero) sequence.
     stamps[slot].store(0, std::memory_order_release);
     for (int w = 0; w < kPayloadWords; ++w) {
@@ -129,9 +135,9 @@ struct FlightRecorder::ThreadRing {
     head.store(h + 1, std::memory_order_release);
   }
 
-  // Copies slot `index` (absolute sequence) into `out`; false on a torn or
-  // overwritten slot.
-  bool read(std::uint64_t index, PackedEvent* out) const {
+  // Copies slot `index` (absolute sequence) into `out`'s stored fields;
+  // false on a torn or overwritten slot.
+  bool read(std::uint64_t index, FlightEvent* out) const {
     const std::size_t slot = index & mask;
     const std::uint64_t before = stamps[slot].load(std::memory_order_acquire);
     if (before != index + 1) return false;
@@ -141,8 +147,18 @@ struct FlightRecorder::ThreadRing {
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (stamps[slot].load(std::memory_order_acquire) != index + 1) return false;
-    std::memcpy(out, image, sizeof(image));
+    std::memcpy(static_cast<void*>(out), image, kPayloadBytes);
     return true;
+  }
+
+  // A thread claiming a ring its previous owner left: drop that owner's
+  // events and name, so nothing reads as the new thread's.
+  void reset_for_new_owner() {
+    for (std::size_t i = 0; i < capacity; ++i) {
+      stamps[i].store(0, std::memory_order_relaxed);
+    }
+    for (auto& c : name) c.store('\0', std::memory_order_relaxed);
+    named = false;
   }
 
   // Owner thread stamps its name into the ring once (atomic chars so the
@@ -174,8 +190,27 @@ struct FlightRecorder::ThreadRing {
   std::unique_ptr<std::atomic<std::uint64_t>[]> words;
   static constexpr std::size_t sizeof_name = 32;
   std::atomic<char> name[sizeof_name] = {};
+  // Held by a live thread; its exit clears it and hands the ring back.
+  std::atomic<bool> in_use{true};
   bool named = false;  // owner-thread only
 };
+
+namespace {
+
+// Set when the thread's ring lease has run its destructor. Trivially
+// destructible, so records from later thread-exit code can still read it.
+thread_local bool t_ring_released = false;
+
+// Hands the thread's ring back when the thread exits.
+struct RingLease {
+  std::atomic<bool>* in_use = nullptr;
+  ~RingLease() {
+    t_ring_released = true;
+    if (in_use != nullptr) in_use->store(false, std::memory_order_release);
+  }
+};
+
+}  // namespace
 
 FlightRecorder::FlightRecorder() : capacity_(env_capacity()) {}
 
@@ -186,18 +221,43 @@ FlightRecorder& FlightRecorder::global() {
   return *recorder;
 }
 
+FlightRecorder::ThreadRing* FlightRecorder::claim_free_ring() {
+  const std::size_t rings =
+      std::min(ring_count_.load(std::memory_order_acquire), kMaxThreads);
+  for (std::size_t r = 0; r < rings; ++r) {
+    ThreadRing* ring = rings_[r].load(std::memory_order_acquire);
+    if (ring == nullptr || ring->in_use.load(std::memory_order_relaxed)) {
+      continue;
+    }
+    bool free = false;
+    if (ring->in_use.compare_exchange_strong(free, true,
+                                             std::memory_order_acquire)) {
+      ring->reset_for_new_owner();
+      return ring;
+    }
+  }
+  return nullptr;
+}
+
 FlightRecorder::ThreadRing* FlightRecorder::ring_for_this_thread() {
   thread_local ThreadRing* t_ring = nullptr;
   thread_local bool t_tried = false;
-  if (t_ring != nullptr) return t_ring;
+  // After the lease ran, the ring may belong to another thread: drop.
+  if (t_ring != nullptr) return t_ring_released ? nullptr : t_ring;
   if (t_tried) return nullptr;  // over the thread cap: drop, don't retry
   t_tried = true;
-  const std::size_t index = ring_count_.fetch_add(1, std::memory_order_relaxed);
-  if (index >= kMaxThreads) {
-    return nullptr;
+  ThreadRing* ring = claim_free_ring();
+  if (ring == nullptr) {
+    const std::size_t index =
+        ring_count_.fetch_add(1, std::memory_order_relaxed);
+    if (index >= kMaxThreads) return nullptr;
+    ring = new ThreadRing(capacity_);  // never freed (see header)
+    rings_[index].store(ring, std::memory_order_release);
   }
-  auto* ring = new ThreadRing(capacity_);  // never freed (see header)
-  rings_[index].store(ring, std::memory_order_release);
+  // Constructed here, off the fast path: only a thread that holds a ring
+  // registers the exit hook that hands it back.
+  thread_local RingLease t_lease;
+  t_lease.in_use = &ring->in_use;
   t_ring = ring;
   return ring;
 }
@@ -208,62 +268,37 @@ std::size_t FlightRecorder::memory_used_bytes() const {
   return rings * capacity_ * kSlotBytes;
 }
 
-void FlightRecorder::record_op(FlightOp op, std::string_view object_id,
-                               StatusCode status, std::uint64_t latency_us,
-                               std::uint8_t stage_digest) {
-  if (capacity_ == 0 || !enabled()) return;
+void FlightRecorder::record(const FlightEvent& ev) {
+  if (!recording()) return;
   ThreadRing* ring = ring_for_this_thread();
   if (ring == nullptr) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   ring->maybe_name();
-  PackedEvent ev{};
-  ev.t_us = steady_us();
-  ev.a = fnv1a64(object_id);
-  ev.b = latency_us;
-  ev.kind = static_cast<std::uint8_t>(FlightKind::kOp);
-  ev.verb = static_cast<std::uint8_t>(op);
-  ev.status = static_cast<std::uint8_t>(status);
-  ev.digest = stage_digest;
-  copy_label(ev.label, flight_tenant());
   ring->record(ev);
 }
 
 void FlightRecorder::record_transition(std::string_view component,
                                        std::uint64_t from, std::uint64_t to) {
-  if (capacity_ == 0 || !enabled()) return;
-  ThreadRing* ring = ring_for_this_thread();
-  if (ring == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ring->maybe_name();
-  PackedEvent ev{};
+  FlightEvent ev;
   ev.t_us = steady_us();
   ev.a = from;
   ev.b = to;
-  ev.kind = static_cast<std::uint8_t>(FlightKind::kTransition);
-  copy_label(ev.label, component);
-  ring->record(ev);
+  ev.kind = FlightKind::kTransition;
+  copy_flight_text(ev.label, component);
+  record(ev);
 }
 
 void FlightRecorder::record_metric(std::string_view name, std::uint64_t prev,
                                    std::uint64_t now_value) {
-  if (capacity_ == 0 || !enabled()) return;
-  ThreadRing* ring = ring_for_this_thread();
-  if (ring == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ring->maybe_name();
-  PackedEvent ev{};
+  FlightEvent ev;
   ev.t_us = steady_us();
   ev.a = prev;
   ev.b = now_value;
-  ev.kind = static_cast<std::uint8_t>(FlightKind::kMetric);
-  copy_label(ev.label, name);
-  ring->record(ev);
+  ev.kind = FlightKind::kMetric;
+  copy_flight_text(ev.label, name);
+  record(ev);
 }
 
 std::vector<FlightEvent> FlightRecorder::merged(std::size_t max_events) const {
@@ -279,17 +314,8 @@ std::vector<FlightEvent> FlightRecorder::merged(std::size_t max_events) const {
     const std::uint64_t first =
         head > ring->capacity ? head - ring->capacity : 0;
     for (std::uint64_t i = first; i < head; ++i) {
-      PackedEvent packed;
-      if (!ring->read(i, &packed)) continue;
       FlightEvent ev;
-      ev.t_us = packed.t_us;
-      ev.a = packed.a;
-      ev.b = packed.b;
-      ev.kind = static_cast<FlightKind>(packed.kind);
-      ev.verb = packed.verb;
-      ev.status = packed.status;
-      ev.digest = packed.digest;
-      std::memcpy(ev.label, packed.label, sizeof(ev.label));
+      if (!ring->read(i, &ev)) continue;
       if (thread_name[0] != '\0') {
         std::snprintf(ev.thread, sizeof(ev.thread), "%s", thread_name);
       } else {
@@ -310,27 +336,30 @@ std::vector<FlightEvent> FlightRecorder::merged(std::size_t max_events) const {
 }
 
 std::string render_flight_event(const FlightEvent& ev) {
-  char line[256];
+  char line[320];
   const double t_s = static_cast<double>(ev.t_us) / 1e6;
   switch (ev.kind) {
-    case FlightKind::kOp: {
-      const char* verb = "other";
-      switch (static_cast<FlightOp>(ev.verb)) {
-        case FlightOp::kPut: verb = "put"; break;
-        case FlightOp::kGet: verb = "get"; break;
-        case FlightOp::kDelete: verb = "delete"; break;
-        case FlightOp::kOther: verb = "other"; break;
+    case FlightKind::kSpan: {
+      char verb[16];
+      std::size_t n = 0;
+      for (const char c : to_string(ev.op)) {
+        if (n + 1 < sizeof(verb)) verb[n++] = static_cast<char>(std::tolower(c));
       }
-      const std::string_view status =
-          to_string(static_cast<StatusCode>(ev.status));
+      verb[n] = '\0';
+      const std::string_view status = to_string(ev.code());
       std::snprintf(line, sizeof(line),
-                    "%14.6f [%s] op %s id=%016llx tenant=%s status=%.*s "
-                    "lat_us=%llu stages=0x%02x",
-                    t_s, ev.thread, verb,
-                    static_cast<unsigned long long>(ev.a),
+                    "%14.6f [%s] op %s obj=%s tier=%s %s=%s status=%.*s "
+                    "lat_us=%llu stages=0x%02x trace=%llu span=%llu "
+                    "parent=%llu",
+                    t_s, ev.thread, verb, ev.object[0] ? ev.object : "-",
+                    ev.tier[0] ? ev.tier : "-",
+                    ev.is_request() ? "tenant" : "name",
                     ev.label[0] != '\0' ? ev.label : "-",
                     static_cast<int>(status.size()), status.data(),
-                    static_cast<unsigned long long>(ev.b), ev.digest);
+                    static_cast<unsigned long long>(ev.b / 1000), ev.digest,
+                    static_cast<unsigned long long>(ev.trace_id),
+                    static_cast<unsigned long long>(ev.span_id),
+                    static_cast<unsigned long long>(ev.parent_span_id));
       break;
     }
     case FlightKind::kTransition:
@@ -362,7 +391,7 @@ std::string FlightRecorder::render(std::size_t max_events) const {
 void FlightRecorder::dump_signal_safe(int fd) const {
   const std::size_t rings =
       std::min(ring_count_.load(std::memory_order_relaxed), kMaxThreads);
-  char buf[256];
+  char buf[320];
   for (std::size_t r = 0; r < rings; ++r) {
     const ThreadRing* ring = rings_[r].load(std::memory_order_relaxed);
     if (ring == nullptr) continue;
@@ -372,27 +401,36 @@ void FlightRecorder::dump_signal_safe(int fd) const {
     const std::uint64_t first =
         head > ring->capacity ? head - ring->capacity : 0;
     for (std::uint64_t i = first; i < head; ++i) {
-      PackedEvent ev;
+      FlightEvent ev;
       if (!ring->read(i, &ev)) continue;
+      ev.label[sizeof(ev.label) - 1] = '\0';
+      ev.object[sizeof(ev.object) - 1] = '\0';
       std::size_t len = 0;
       len = put_str(buf, len, "t_us=");
       len = put_u64(buf, len, static_cast<std::uint64_t>(ev.t_us));
       len = put_str(buf, len, " thread=");
       len = put_str(buf, len, thread_name[0] != '\0' ? thread_name : "?");
-      switch (static_cast<FlightKind>(ev.kind)) {
-        case FlightKind::kOp:
+      switch (ev.kind) {
+        case FlightKind::kSpan:
           len = put_str(buf, len, " op verb=");
-          len = put_u64(buf, len, ev.verb);
+          len = put_u64(buf, len, static_cast<std::uint64_t>(ev.op));
           len = put_str(buf, len, " status=");
           len = put_u64(buf, len, ev.status);
           len = put_str(buf, len, " lat_us=");
-          len = put_u64(buf, len, ev.b);
-          len = put_str(buf, len, " id_hash=");
-          len = put_u64(buf, len, ev.a);
+          len = put_u64(buf, len, ev.b / 1000);
+          len = put_str(buf, len, " trace=");
+          len = put_u64(buf, len, ev.trace_id);
+          len = put_str(buf, len, " span=");
+          len = put_u64(buf, len, ev.span_id);
+          len = put_str(buf, len, " parent=");
+          len = put_u64(buf, len, ev.parent_span_id);
+          len = put_str(buf, len, " obj=");
+          len = put_str(buf, len, ev.object);
+          len = put_str(buf, len, " label=");
+          len = put_str(buf, len, ev.label);
           break;
         case FlightKind::kTransition:
           len = put_str(buf, len, " transition ");
-          ev.label[sizeof(ev.label) - 1] = '\0';
           len = put_str(buf, len, ev.label);
           len = put_str(buf, len, " from=");
           len = put_u64(buf, len, ev.a);
@@ -401,7 +439,6 @@ void FlightRecorder::dump_signal_safe(int fd) const {
           break;
         case FlightKind::kMetric:
           len = put_str(buf, len, " metric ");
-          ev.label[sizeof(ev.label) - 1] = '\0';
           len = put_str(buf, len, ev.label);
           len = put_str(buf, len, " now=");
           len = put_u64(buf, len, ev.b);

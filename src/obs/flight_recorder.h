@@ -3,10 +3,13 @@
 // event, overwritten oldest-first — so a crash, stall or SLO violation can
 // ship a forensic record of what the server was doing when it happened.
 //
-// Three event kinds share one 56-byte POD slot:
-//   * kOp          — one application operation: verb, fnv1a64 of the object
-//                    id, tenant (from the RPC header), status code, latency
-//                    and the stage-digest bitmask (which named stages ran).
+// Three event kinds share one 120-byte POD slot payload:
+//   * kSpan        — one span of the causal trace (src/obs/trace.h): an
+//                    application op (PUT/GET/DELETE: tenant, status code,
+//                    stage digest), a policy-rule firing, a response it
+//                    ran, a retried tier op or a hedged read. Each carries
+//                    its trace/span/parent ids, start, elapsed time, object
+//                    id (truncated to 23 chars) and tier (15 chars).
 //   * kTransition  — a state machine moved: breaker open/close, SLO
 //                    violated/recovered, admission rung change, journal
 //                    flush error, watchdog stall/recovery.
@@ -23,17 +26,21 @@
 // which is what makes dump_signal_safe() async-signal-safe.
 //
 // Memory bound (fixed, enforced at registration): at most kMaxThreads rings
-// of `capacity()` slots each. With the default capacity of 1024 events and
-// 64 bytes/slot that is 64 KiB per registered thread and a 16 MiB process
-// ceiling; threads beyond kMaxThreads drop events into `dropped()`. Rings
-// are never freed (a ring outlives its thread so late dumps stay safe), so
-// memory_used_bytes() is monotonic and <= memory_bound_bytes() always.
-// TIERA_FLIGHT_CAPACITY overrides the per-thread slot count (rounded to a
-// power of two; 0 disables recording entirely).
+// of `capacity()` slots each. With the default capacity of 512 events and
+// 128 bytes/slot that is 64 KiB per ring and a 16 MiB process ceiling.
+// A thread that exits hands its ring back; the next thread to record claims
+// a free ring (clearing the old owner's events and name) before it appends
+// a new one, so only threads alive at once count against kMaxThreads.
+// Beyond that, events drop into `dropped()`. Rings are never freed (late
+// dumps stay safe), so memory_used_bytes() is monotonic and <=
+// memory_bound_bytes() always. TIERA_FLIGHT_CAPACITY overrides the
+// per-thread slot count (rounded to a power of two; 0 disables recording
+// entirely).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,36 +50,60 @@
 namespace tiera {
 
 enum class FlightKind : std::uint8_t {
-  kOp = 1,
+  kSpan = 1,
   kTransition = 2,
   kMetric = 3,
 };
 
+// What a span timed. PUT/GET/DELETE are the request roots; the rest is work
+// done on a request's (or a timer's) behalf.
 enum class FlightOp : std::uint8_t {
   kPut = 1,
   kGet = 2,
   kDelete = 3,
-  kOther = 4,
+  kEvent = 4,     // a policy rule firing (action/timer/threshold)
+  kResponse = 5,  // one response executed by a firing rule
+  kRetry = 6,     // a tier op that needed the resilience layer (retries/breaker)
+  kHedge = 7,     // a hedged read raced against a slow primary tier
 };
 
-// One decoded event as returned by merged(). `label` is the tenant (ops),
-// component (transitions) or series name (metrics).
+std::string_view to_string(FlightOp op);  // "PUT", "GET", ..., "HEDGE"
+
+// One event: what a slot stores (every field but `thread`) and what
+// merged() returns.
 struct FlightEvent {
-  std::int64_t t_us = 0;  // steady-clock µs; the cross-thread merge key
-  std::uint64_t a = 0;    // op: object-id hash | transition: from | metric: prev
-  std::uint64_t b = 0;    // op: latency µs    | transition: to   | metric: now
-  FlightKind kind = FlightKind::kOp;
-  std::uint8_t verb = 0;    // FlightOp for ops
-  std::uint8_t status = 0;  // StatusCode for ops
-  std::uint8_t digest = 0;  // stage bitmask (1 << Stage) for ops
+  std::int64_t t_us = 0;  // steady-clock µs: a span's start, else the event
+                          // time; the cross-thread merge key
+  std::uint64_t a = 0;    // span: rule id    | transition: from | metric: prev
+  std::uint64_t b = 0;    // span: elapsed ns | transition: to   | metric: now
+  std::uint64_t trace_id = 0;        // spans: groups causally-linked spans
+  std::uint64_t span_id = 0;         // spans
+  std::uint64_t parent_span_id = 0;  // spans: 0 = root span
+  FlightKind kind = FlightKind::kSpan;
+  FlightOp op = FlightOp::kPut;  // spans
+  std::uint8_t status = 0;       // spans: StatusCode of the result
+  std::uint8_t digest = 0;       // request spans: stage bitmask (1 << Stage)
+  char spare[4] = {};
+  // Request span: tenant (from the RPC header) | other spans: rule or
+  // response name | transition: component | metric: series name.
   char label[24] = {};
+  char object[24] = {};  // spans: object id ("" = none)
+  char tier[16] = {};    // spans: tier served/stored/hedged ("" = none)
   char thread[32] = {};  // filled by merged(); not stored per slot
+
+  StatusCode code() const { return static_cast<StatusCode>(status); }
+  bool ok() const { return code() == StatusCode::kOk; }
+  // PUT/GET/DELETE spans, named by their verb; other spans by their label.
+  bool is_request() const { return op <= FlightOp::kDelete; }
+  std::string_view name() const;
+  double duration_ms() const { return static_cast<double>(b) / 1e6; }
+  std::uint64_t rule_id() const { return a; }
 };
 
 class FlightRecorder {
  public:
   static constexpr std::size_t kMaxThreads = 256;
-  static constexpr std::size_t kSlotBytes = 64;  // payload words + stamp
+  static constexpr std::size_t kSlotBytes = 128;  // payload words + stamp
 
   static FlightRecorder& global();
 
@@ -82,6 +113,7 @@ class FlightRecorder {
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
+  bool recording() const { return capacity_ != 0 && enabled(); }
 
   std::size_t capacity() const { return capacity_; }  // slots per thread
   std::size_t memory_bound_bytes() const {
@@ -94,8 +126,8 @@ class FlightRecorder {
 
   // --- writers (any thread; lock-free; a few relaxed atomic stores) ------
 
-  void record_op(FlightOp op, std::string_view object_id, StatusCode status,
-                 std::uint64_t latency_us, std::uint8_t stage_digest);
+  // Stores `ev`: every field but `thread` (spans: obs/trace.h fills them).
+  void record(const FlightEvent& ev);
   void record_transition(std::string_view component, std::uint64_t from,
                          std::uint64_t to);
   void record_metric(std::string_view name, std::uint64_t prev,
@@ -118,6 +150,7 @@ class FlightRecorder {
   FlightRecorder();
   struct ThreadRing;
   ThreadRing* ring_for_this_thread();
+  ThreadRing* claim_free_ring();
 
   std::size_t capacity_ = 0;  // 0 = recording disabled via env
   std::atomic<bool> enabled_{true};
@@ -126,11 +159,18 @@ class FlightRecorder {
   std::atomic<ThreadRing*> rings_[kMaxThreads] = {};
 };
 
-// Tenant context for op events: the RPC layer sets it around handler
+// Tenant context for request spans: the RPC layer sets it around handler
 // execution so instance-level records carry the caller's tenant. Stored in
 // a fixed thread-local buffer; empty clears it.
 void set_flight_tenant(std::string_view tenant);
 std::string_view flight_tenant();
+
+// Copies `src` into a fixed event field, truncated and NUL-padded.
+template <std::size_t N>
+void copy_flight_text(char (&dst)[N], std::string_view src) {
+  const std::size_t n = src.copy(dst, N - 1);  // null-safe when empty
+  std::memset(dst + n, 0, N - n);
+}
 
 // Renders one FlightEvent as a single text line (shared by render() and
 // the incident report writer).

@@ -77,7 +77,7 @@ bool stage_recording_active();
 // Bitmask of (1 << Stage) for the named stages entered during the current
 // outermost op on this thread. Maintained for every op (not just sampled
 // ones — one thread-local OR per StageTimer); reset when a new outermost
-// OpStageScope opens. The flight recorder stamps each op event with it.
+// OpStageScope opens. Each request span in the flight recorder carries it.
 std::uint8_t current_stage_digest();
 
 // RAII over one whole application operation. The outermost scope on a

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
+#include "obs/trace.h"
 
 namespace tiera {
 
@@ -194,8 +195,6 @@ Status ResilientTier::run_op(const char* what,
   const Duration budget =
       scale > 0 ? std::chrono::duration_cast<Duration>(policy_.deadline * scale)
                 : Duration::zero();
-  std::optional<TraceScope> span;
-  if (tracer_ && tracer_->enabled()) span.emplace();
 
   int retries = 0;
   bool fast_failed = false;
@@ -235,13 +234,12 @@ Status ResilientTier::run_op(const char* what,
 
   if (retries > 0 || fast_failed) {
     if (retries > 0) metrics_.retry_latency->record(now() - start);
-    if (span) {
-      tracer_->record(*span, TraceOp::kRetry,
-                      fast_failed ? std::string(what) + ":fastfail"
-                                  : std::string(what) + ":x" +
-                                        std::to_string(retries + 1),
-                      "", name(), result.ok());
-    }
+    // A leaf span under the request that needed the resilience layer.
+    record_leaf_span(FlightOp::kRetry, start,
+                     fast_failed ? std::string(what) + ":fastfail"
+                                 : std::string(what) + ":x" +
+                                       std::to_string(retries + 1),
+                     "", name(), result.code());
   }
   return result;
 }

@@ -22,7 +22,6 @@
 #include <mutex>
 
 #include "common/histogram.h"
-#include "obs/trace.h"
 #include "store/tier.h"
 
 namespace tiera {
@@ -145,8 +144,6 @@ class ResilientTier final : public Tier {
   // the instance uses it to schedule a threshold-rule evaluation so
   // failover rules fire on `tierX.breaker == open`.
   void set_breaker_listener(std::function<void(BreakerState)> listener);
-  // Retry spans land in this tracer as children of the current request span.
-  void set_tracer(RequestTracer* tracer) { tracer_ = tracer; }
 
   // Hedge accounting, driven by the instance (hedging is a routing decision
   // made where the object's location set is visible).
@@ -176,7 +173,6 @@ class ResilientTier final : public Tier {
   TierPtr inner_;
   const ResiliencePolicy policy_;
   CircuitBreaker breaker_;
-  RequestTracer* tracer_ = nullptr;
   std::function<void(BreakerState)> breaker_listener_;
   mutable std::mutex listener_mu_;
   // Previous state for the flight-recorder breaker transition (from -> to).

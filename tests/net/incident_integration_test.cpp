@@ -26,6 +26,7 @@
 #include "net/tiera_service.h"
 #include "obs/flight_recorder.h"
 #include "obs/incident.h"
+#include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "test_util.h"
 
@@ -72,11 +73,13 @@ TEST(IncidentIntegrationTest, ShardStallProducesReportNamingThePool) {
   server.register_handler(1, [&](ByteView body) -> Result<Bytes> {
     const std::string_view text(reinterpret_cast<const char*>(body.data()),
                                 body.size());
-    FlightRecorder::global().record_op(FlightOp::kPut, text, StatusCode::kOk,
-                                       10, 0);
+    {
+      TraceScope span;
+      record_span(span, FlightOp::kPut, flight_tenant(), text, "",
+                  StatusCode::kOk, std::chrono::microseconds(10));
+    }
     if (text == "wedge") {
-      // A labeled breadcrumb: op events carry hashed ids, transitions carry
-      // their component string verbatim, so the report names this request.
+      // A labeled breadcrumb beside the span: the report names this request.
       FlightRecorder::global().record_transition("wedge-marker", 0, 1);
       std::unique_lock<std::mutex> lock(wedge_mu);
       wedge_cv.wait(lock, [&] { return !wedged; });
@@ -125,7 +128,7 @@ TEST(IncidentIntegrationTest, ShardStallProducesReportNamingThePool) {
   EXPECT_NE(report.find("rpc-shard-0"), std::string::npos);
   EXPECT_NE(report.find("reason: watchdog-stall"), std::string::npos);
   // ...and carries the recent ops and the stall transition.
-  EXPECT_NE(report.find("op put"), std::string::npos);
+  EXPECT_NE(report.find("op put obj=wedge"), std::string::npos);
   EXPECT_NE(report.find("wedge-marker"), std::string::npos);
   EXPECT_NE(report.find("watchdog:rpc-shard-0"), std::string::npos);
   EXPECT_NE(report.find("end-incident"), std::string::npos);

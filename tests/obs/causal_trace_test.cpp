@@ -4,12 +4,14 @@
 // PUT thread -> ThreadPool task context -> TraceScope in the worker.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/responses.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace tiera {
@@ -26,7 +28,6 @@ class CausalTraceTest : public ::testing::Test {
     config.data_dir = dir_.sub("inst");
     config.tiers = {{"Memcached", "cau_m1", 1 << 20},
                     {"EBS", "cau_b1", 1 << 20}};
-    config.trace_requests = true;
     auto instance = TieraInstance::create(std::move(config));
     EXPECT_TRUE(instance.ok()) << instance.status().to_string();
     return std::move(instance).value();
@@ -58,44 +59,59 @@ TEST_F(CausalTraceTest, BackgroundThresholdResponseLinksToTriggeringPut) {
   instance->control().drain();
   ASSERT_GE(instance->control().events_fired(), 1u);
 
-  const auto spans = instance->tracer().snapshot(1024);
+  // Spans are process-wide; this test's are the traces of its PUTs.
+  const std::vector<FlightEvent> all = recent_spans(0);
+  std::set<std::uint64_t> traces;
+  for (const FlightEvent& span : all) {
+    if (span.op == FlightOp::kPut &&
+        std::string(span.object).rfind("cau-obj", 0) == 0) {
+      traces.insert(span.trace_id);
+    }
+  }
+  std::vector<FlightEvent> spans;
+  for (const FlightEvent& span : all) {
+    if (traces.count(span.trace_id)) spans.push_back(span);
+  }
+  const std::string dump = render_spans(spans);
 
   // The rule firing recorded an event span attributed to our rule.
-  const RequestTracer::Span* event = nullptr;
+  const FlightEvent* event = nullptr;
   for (const auto& span : spans) {
-    if (span.op == TraceOp::kEvent && span.rule_id == rule_id) event = &span;
+    if (span.op == FlightOp::kEvent && span.rule_id() == rule_id) {
+      event = &span;
+    }
   }
-  ASSERT_NE(event, nullptr) << instance->tracer().dump(64);
-  EXPECT_NE(std::string(event->name).find("spill"), std::string::npos);
+  ASSERT_NE(event, nullptr) << dump;
+  EXPECT_NE(event->name().find("spill"), std::string::npos);
 
   // Its parent is the PUT that pushed the tier over the threshold: same
   // trace id, parent span id = that PUT's span id.
-  const RequestTracer::Span* put = nullptr;
+  const FlightEvent* put = nullptr;
   for (const auto& span : spans) {
-    if (span.op == TraceOp::kPut && span.span_id == event->parent_span_id) {
+    if (span.op == FlightOp::kPut && span.span_id == event->parent_span_id) {
       put = &span;
     }
   }
-  ASSERT_NE(put, nullptr) << instance->tracer().dump(64);
+  ASSERT_NE(put, nullptr) << dump;
   EXPECT_EQ(put->trace_id, event->trace_id);
   EXPECT_NE(event->parent_span_id, 0u);
 
   // The move response recorded as a child of the event span.
-  const RequestTracer::Span* response = nullptr;
+  const FlightEvent* response = nullptr;
   for (const auto& span : spans) {
-    if (span.op == TraceOp::kResponse &&
+    if (span.op == FlightOp::kResponse &&
         span.parent_span_id == event->span_id) {
       response = &span;
     }
   }
-  ASSERT_NE(response, nullptr) << instance->tracer().dump(64);
+  ASSERT_NE(response, nullptr) << dump;
   EXPECT_EQ(response->trace_id, put->trace_id);
-  EXPECT_EQ(response->rule_id, rule_id);
-  EXPECT_NE(std::string(response->name).find("move"), std::string::npos);
+  EXPECT_EQ(response->rule_id(), rule_id);
+  EXPECT_NE(response->name().find("move"), std::string::npos);
   EXPECT_TRUE(response->ok());
 
-  // dump_tree renders the whole causal chain under the PUT root.
-  const std::string tree = instance->tracer().dump_tree(put->trace_id);
+  // The span tree renders the whole causal chain under the PUT root.
+  const std::string tree = render_span_tree(spans, put->trace_id);
   EXPECT_NE(tree.find("PUT"), std::string::npos);
   EXPECT_NE(tree.find("spill"), std::string::npos);
   EXPECT_NE(tree.find("move"), std::string::npos);

@@ -1,5 +1,6 @@
 // Flight recorder: event capture and merge order, ring overwrite semantics,
-// tenant context, the fixed memory bound, and the async-signal-safe dump
+// span fields and their truncation, tenant context, the fixed memory bound,
+// ring recycling across thread exits, and the async-signal-safe dump
 // (exercised via a pipe, not a signal — the fork+SIGSEGV end-to-end lives in
 // incident_test.cpp).
 #include "obs/flight_recorder.h"
@@ -13,6 +14,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace tiera {
 namespace {
@@ -28,21 +31,45 @@ std::vector<FlightEvent> events_with_label(const std::string& label) {
   return out;
 }
 
-TEST(FlightRecorderTest, RecordsOpsWithTenantStatusAndDigest) {
+TEST(FlightRecorderTest, RecordsSpansWithTenantStatusAndDigest) {
   set_flight_tenant("tenant-fr1");
-  FlightRecorder::global().record_op(FlightOp::kGet, "fr-object-1",
-                                     StatusCode::kNotFound, 123, 0x05);
+  {
+    TraceScope scope;
+    record_span(scope, FlightOp::kGet, flight_tenant(), "fr-object-1", "fr-m1",
+                StatusCode::kNotFound, std::chrono::microseconds(123), 0,
+                0x05);
+  }
   set_flight_tenant({});
 
   const auto events = events_with_label("tenant-fr1");
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, FlightKind::kOp);
-  EXPECT_EQ(events[0].verb, static_cast<std::uint8_t>(FlightOp::kGet));
-  EXPECT_EQ(events[0].status, static_cast<std::uint8_t>(StatusCode::kNotFound));
+  EXPECT_EQ(events[0].kind, FlightKind::kSpan);
+  EXPECT_EQ(events[0].op, FlightOp::kGet);
+  EXPECT_EQ(events[0].code(), StatusCode::kNotFound);
   EXPECT_EQ(events[0].digest, 0x05);
-  EXPECT_EQ(events[0].b, 123u);  // latency µs
-  EXPECT_NE(events[0].a, 0u);    // object-id hash
+  EXPECT_EQ(events[0].b, 123000u);  // elapsed ns
+  EXPECT_STREQ(events[0].object, "fr-object-1");
+  EXPECT_STREQ(events[0].tier, "fr-m1");
+  EXPECT_EQ(events[0].name(), "GET");
+  EXPECT_NE(events[0].trace_id, 0u);
+  EXPECT_NE(events[0].span_id, 0u);
+  EXPECT_EQ(events[0].parent_span_id, 0u);
   EXPECT_GT(std::strlen(events[0].thread), 0u);
+}
+
+TEST(FlightRecorderTest, SpanTextIsTruncatedToItsField) {
+  const std::string long_id(200, 'x');
+  {
+    TraceScope scope;
+    record_span(scope, FlightOp::kEvent, "fr-trunc-" + std::string(100, 'n'),
+                long_id, "a-tier-name-that-is-way-too-long", StatusCode::kOk,
+                scope.elapsed());
+  }
+  const auto events = events_with_label("fr-trunc-" + std::string(14, 'n'));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(std::string(events[0].object), std::string(23, 'x'));
+  EXPECT_EQ(std::string(events[0].tier), "a-tier-name-tha");  // 15 chars
+  EXPECT_EQ(events[0].name().size(), 23u);
 }
 
 TEST(FlightRecorderTest, RecordsTransitionsAndMetrics) {
@@ -145,6 +172,86 @@ TEST(FlightRecorderTest, ConcurrentWritersProduceNoTornReads) {
   for (auto& w : writers) w.join();
 }
 
+TEST(FlightRecorderTest, ConcurrentSpanWritersKeepRingsBoundedAndUntorn) {
+  auto& recorder = FlightRecorder::global();
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kSpans = 5000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> finished{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      FlightEvent span;
+      copy_flight_text(span.label, "fr-span-race");
+      copy_flight_text(span.object, "fr-w" + std::to_string(t));
+      for (std::uint64_t i = 1; i <= kSpans; ++i) {
+        // Every id word equals the rule id: a torn read shows a mismatch
+        // across the slot's first and last payload words.
+        span.a = span.trace_id = span.span_id = span.parent_span_id = i;
+        recorder.record(span);
+      }
+      // Stay alive until checked: an exited thread's ring is handed to the
+      // next thread that records, which clears it.
+      finished.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  std::thread reader([&recorder, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const FlightEvent& ev : recorder.merged()) {
+        if (std::string(ev.label) != "fr-span-race") continue;
+        EXPECT_EQ(ev.trace_id, ev.a);
+        EXPECT_EQ(ev.parent_span_id, ev.a);
+      }
+    }
+  });
+  while (finished.load() < kThreads) std::this_thread::yield();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  // Each writer's ring kept at most `capacity` of its 5000 spans: the newest.
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<FlightEvent> mine;
+    for (const FlightEvent& ev : events_with_label("fr-span-race")) {
+      if (std::string(ev.object) == "fr-w" + std::to_string(t)) {
+        mine.push_back(ev);
+      }
+    }
+    if (mine.empty()) {
+      ADD_FAILURE() << "writer " << t << " left no span";
+      continue;
+    }
+    EXPECT_LE(mine.size(), recorder.capacity());
+    EXPECT_EQ(mine.back().a, kSpans);
+  }
+  release.store(true);
+  for (auto& w : writers) w.join();
+}
+
+TEST(FlightRecorderTest, ExitedThreadsHandTheirRingsBack) {
+  auto& recorder = FlightRecorder::global();
+  const std::uint64_t dropped_before = recorder.dropped();
+  // More short-lived threads than the ring cap, one at a time.
+  for (int i = 0; i < 300; ++i) {
+    std::thread([&recorder] {
+      recorder.record_transition("fr-recycle", 0, 1);
+    }).join();
+  }
+  std::thread([&recorder] {
+    recorder.record_transition("fr-recycle-fresh", 2, 3);
+  }).join();
+
+  const auto fresh = events_with_label("fr-recycle-fresh");
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0].a, 2u);
+  EXPECT_EQ(recorder.dropped(), dropped_before);
+  EXPECT_LT(recorder.memory_used_bytes(),
+            300 * recorder.capacity() * FlightRecorder::kSlotBytes);
+  // A claimed ring forgets its last owner: at most the newest thread's
+  // event survives.
+  EXPECT_LE(events_with_label("fr-recycle").size(), 1u);
+}
+
 TEST(FlightRecorderTest, SignalSafeDumpWritesParseableEvents) {
   FlightRecorder::global().record_transition("fr-sigdump", 7, 8);
   int fds[2];
@@ -169,11 +276,15 @@ TEST(FlightRecorderTest, SignalSafeDumpWritesParseableEvents) {
 
 TEST(FlightRecorderTest, RenderMentionsVerbsAndComponents) {
   set_flight_tenant("tenant-render");
-  FlightRecorder::global().record_op(FlightOp::kPut, "fr-render-obj",
-                                     StatusCode::kOk, 42, 0);
+  {
+    TraceScope scope;
+    record_span(scope, FlightOp::kPut, flight_tenant(), "fr-render-obj", "",
+                StatusCode::kOk, std::chrono::microseconds(42));
+  }
   set_flight_tenant({});
   const std::string text = FlightRecorder::global().render();
-  EXPECT_NE(text.find("tenant-render"), std::string::npos);
+  EXPECT_NE(text.find("op put obj=fr-render-obj"), std::string::npos);
+  EXPECT_NE(text.find("tenant=tenant-render"), std::string::npos);
 }
 
 }  // namespace

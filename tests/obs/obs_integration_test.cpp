@@ -8,6 +8,7 @@
 #include "core/instance.h"
 #include "net/tiera_service.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace tiera {
@@ -24,7 +25,6 @@ class ObsIntegrationTest : public ::testing::Test {
     config.data_dir = dir_.sub("inst");
     config.tiers = {{"Memcached", "obs_m1", 1 << 20},
                     {"EBS", "obs_b1", 1 << 20}};
-    config.trace_requests = true;
     // No rules: default placement stores into the first tier (obs_m1).
     auto instance = TieraInstance::create(std::move(config));
     EXPECT_TRUE(instance.ok()) << instance.status().to_string();
@@ -81,10 +81,15 @@ TEST_F(ObsIntegrationTest, PutGetSequenceProducesCounterDeltas) {
   EXPECT_GE(tier_get_hist.count() - tier_get0, 1u);
   EXPECT_LE(tier_get_hist.count() - tier_get0, 5u);
 
-  // The tracer saw all 11 application requests, newest last.
-  const auto spans = instance->tracer().snapshot(100);
+  // The flight rings hold a span for each of the 11 application requests,
+  // newest last.
+  std::vector<FlightEvent> spans;
+  for (const FlightEvent& span : recent_spans(0)) {
+    if (std::string(span.object).rfind("obs-", 0) == 0) spans.push_back(span);
+  }
   ASSERT_EQ(spans.size(), 11u);
-  EXPECT_EQ(spans.back().op, TraceOp::kGet);
+  EXPECT_EQ(spans.back().op, FlightOp::kGet);
+  EXPECT_STREQ(spans.back().object, "obs-ghost");
   EXPECT_FALSE(spans.back().ok());
   EXPECT_STREQ(spans[5].tier, "obs_m1");  // first GET served from memory
 }
@@ -144,10 +149,15 @@ TEST_F(ObsIntegrationTest, StatsRpcRendersPrometheusAndTrace) {
   EXPECT_EQ(summary->gets, 1u);
   EXPECT_EQ(summary->objects, 1u);
 
-  auto trace = (*client)->trace(16);
-  ASSERT_TRUE(trace.ok());
-  EXPECT_NE(trace->find("remote-obj"), std::string::npos);
-  EXPECT_NE(trace->find("GET"), std::string::npos);
+  auto spans = (*client)->trace_spans(16);
+  ASSERT_TRUE(spans.ok()) << spans.status().to_string();
+  ASSERT_FALSE(spans->empty());
+  EXPECT_EQ(spans->back().op, FlightOp::kGet);
+  EXPECT_STREQ(spans->back().object, "remote-obj");
+  EXPECT_NE(spans->back().span_id, 0u);
+  const std::string trace = render_spans(*spans);
+  EXPECT_NE(trace.find("remote-obj"), std::string::npos);
+  EXPECT_NE(trace.find("GET"), std::string::npos);
 
   server.stop();
 }
@@ -165,18 +175,6 @@ TEST_F(ObsIntegrationTest, FailedTierOpsSurfaceInRegistry) {
   reg.collect();
   EXPECT_GT(failed.value(), failed0);
   instance->tier("obs_m1")->heal();
-}
-
-TEST_F(ObsIntegrationTest, TracingCanBeDisabledPerInstance) {
-  InstanceConfig config;
-  config.name = "obs-quiet";
-  config.data_dir = dir_.sub("quiet");
-  config.tiers = {{"Memcached", "obs_q1", 1 << 20}};
-  config.trace_requests = false;
-  auto instance = TieraInstance::create(std::move(config));
-  ASSERT_TRUE(instance.ok());
-  ASSERT_TRUE((*instance)->put("q", as_view(make_payload(16, 1))).ok());
-  EXPECT_EQ((*instance)->tracer().total_recorded(), 0u);
 }
 
 }  // namespace

@@ -16,35 +16,34 @@
 namespace tiera {
 namespace {
 
-RequestTracer::Span make_span(std::uint64_t seq, std::uint64_t trace,
-                              std::uint64_t span, std::uint64_t parent,
-                              TraceOp op, const char* name,
-                              const char* object, const char* tier,
-                              std::int64_t start_us, double duration_ms,
-                              bool ok, std::uint64_t rule = 0) {
-  RequestTracer::Span s;
-  s.seq = seq;
+FlightEvent make_span(std::uint64_t trace, std::uint64_t span,
+                      std::uint64_t parent, FlightOp op, const char* label,
+                      const char* object, const char* tier,
+                      std::int64_t start_us, double duration_ms, bool ok,
+                      std::uint64_t rule = 0) {
+  FlightEvent s;
   s.trace_id = trace;
   s.span_id = span;
   s.parent_span_id = parent;
-  s.rule_id = rule;
+  s.a = rule;
   s.op = op;
-  std::snprintf(s.name, sizeof(s.name), "%s", name);
-  std::snprintf(s.object_id, sizeof(s.object_id), "%s", object);
-  std::snprintf(s.tier, sizeof(s.tier), "%s", tier);
-  s.start_us = start_us;
-  s.duration_ms = duration_ms;
-  s.status = ok ? StatusCode::kOk : StatusCode::kInternal;
+  copy_flight_text(s.label, label);
+  copy_flight_text(s.object, object);
+  copy_flight_text(s.tier, tier);
+  s.t_us = start_us;
+  s.b = static_cast<std::uint64_t>(duration_ms * 1e6);
+  s.status = static_cast<std::uint8_t>(ok ? StatusCode::kOk
+                                          : StatusCode::kInternal);
   return s;
 }
 
 TEST(ChromeTraceExportTest, GoldenRendering) {
-  const std::vector<RequestTracer::Span> spans = {
-      make_span(0, 5, 7, 0, TraceOp::kPut, "PUT", "obj1", "m1", 1000, 1.5,
+  const std::vector<FlightEvent> spans = {
+      make_span(5, 7, 0, FlightOp::kPut, "tenant-a", "obj1", "m1", 1000, 1.5,
                 true),
-      make_span(1, 5, 8, 7, TraceOp::kEvent, "rule:spill", "obj1", "", 2000,
+      make_span(5, 8, 7, FlightOp::kEvent, "rule:spill", "obj1", "", 2000,
                 0.25, true, /*rule=*/3),
-      make_span(2, 5, 9, 8, TraceOp::kResponse, "move -> b1", "obj1", "b1",
+      make_span(5, 9, 8, FlightOp::kResponse, "move -> b1", "obj1", "b1",
                 2100, 0.125, false, /*rule=*/3),
   };
 
@@ -72,12 +71,12 @@ TEST(ChromeTraceExportTest, EmptyInputIsStillValidJson) {
             "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n");
 }
 
-TEST(ChromeTraceExportTest, SortsByTimestampThenSeq) {
-  // Input deliberately out of order; ts ties broken by seq.
-  const std::vector<RequestTracer::Span> spans = {
-      make_span(9, 1, 4, 0, TraceOp::kGet, "GET", "c", "m1", 3000, 0.1, true),
-      make_span(2, 1, 2, 0, TraceOp::kGet, "GET", "a", "m1", 1000, 0.1, true),
-      make_span(3, 1, 3, 0, TraceOp::kGet, "GET", "b", "m1", 1000, 0.1, true),
+TEST(ChromeTraceExportTest, SortsByTimestampKeepingInputOrderOnTies) {
+  // Input deliberately out of order; ts ties keep their input order.
+  const std::vector<FlightEvent> spans = {
+      make_span(1, 4, 0, FlightOp::kGet, "", "c", "m1", 3000, 0.1, true),
+      make_span(1, 2, 0, FlightOp::kGet, "", "a", "m1", 1000, 0.1, true),
+      make_span(1, 3, 0, FlightOp::kGet, "", "b", "m1", 1000, 0.1, true),
   };
   const std::string out = render_chrome_trace(spans);
 
@@ -89,14 +88,14 @@ TEST(ChromeTraceExportTest, SortsByTimestampThenSeq) {
   }
   ASSERT_EQ(ts.size(), 3u);
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
-  // Tie at ts=1000: seq 2 ("a") renders before seq 3 ("b").
+  // Tie at ts=1000: "a" came first in the input, so it renders first.
   EXPECT_LT(out.find("\"object\":\"a\""), out.find("\"object\":\"b\""));
   EXPECT_LT(out.find("\"object\":\"b\""), out.find("\"object\":\"c\""));
 }
 
 TEST(ChromeTraceExportTest, EscapesJsonSpecials) {
-  const std::vector<RequestTracer::Span> spans = {
-      make_span(0, 1, 1, 0, TraceOp::kPut, "na\"me\\x", "ob\tj", "t\ni", 0,
+  const std::vector<FlightEvent> spans = {
+      make_span(1, 1, 0, FlightOp::kEvent, "na\"me\\x", "ob\tj", "t\ni", 0,
                 1.0, true),
   };
   const std::string out = render_chrome_trace(spans);
@@ -143,21 +142,24 @@ bool structurally_valid_json(const std::string& text) {
 }
 
 TEST(ChromeTraceExportTest, RendersStructurallyValidJson) {
-  std::vector<RequestTracer::Span> spans;
+  std::vector<FlightEvent> spans;
   for (int i = 0; i < 50; ++i) {
     spans.push_back(make_span(
-        static_cast<std::uint64_t>(i), 1, static_cast<std::uint64_t>(i + 1),
-        static_cast<std::uint64_t>(i), i % 2 ? TraceOp::kGet : TraceOp::kPut,
-        "op \"quoted\"", ("obj" + std::to_string(i)).c_str(), "m\\1",
-        i * 100, 0.5, i % 3 != 0));
+        1, static_cast<std::uint64_t>(i + 1), static_cast<std::uint64_t>(i),
+        i % 2 ? FlightOp::kGet : FlightOp::kResponse, "op \"quoted\"",
+        ("obj" + std::to_string(i)).c_str(), "m\\1", i * 100, 0.5,
+        i % 3 != 0));
   }
   const std::string out = render_chrome_trace(spans);
   EXPECT_TRUE(structurally_valid_json(out)) << out.substr(0, 500);
 
-  // The tracer's dump_chrome goes through the same renderer.
-  RequestTracer tracer(16);
-  tracer.record(TraceOp::kPut, "obj", "m1", from_ms(1.0), true);
-  EXPECT_TRUE(structurally_valid_json(tracer.dump_chrome()));
+  // Spans read back from the flight rings render the same way.
+  {
+    TraceScope scope;
+    record_span(scope, FlightOp::kPut, "", "obj", "m1", StatusCode::kOk,
+                from_ms(1.0));
+  }
+  EXPECT_TRUE(structurally_valid_json(render_chrome_trace(recent_spans(16))));
 }
 
 }  // namespace

@@ -1,149 +1,158 @@
+// Causal spans over the flight recorder: recording from live scopes and
+// leaf spans, the process-wide query, and the text renderings (span list,
+// span tree). The rings are process-wide, so every check filters on ids
+// this test minted.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <thread>
+#include <algorithm>
+#include <string>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace tiera {
 namespace {
 
-TEST(RequestTracerTest, RecordsSpansInOrder) {
-  RequestTracer tracer(16);
-  tracer.record(TraceOp::kPut, "obj1", "m1", from_ms(1.5), true);
-  tracer.record(TraceOp::kGet, "obj1", "m1", from_ms(0.5), true);
-  tracer.record(TraceOp::kGet, "ghost", "", from_ms(0.1), false);
+std::vector<FlightEvent> spans_of_trace(std::uint64_t trace_id) {
+  std::vector<FlightEvent> out;
+  for (const FlightEvent& span : recent_spans(0)) {
+    if (span.trace_id == trace_id) out.push_back(span);
+  }
+  return out;
+}
 
-  const auto spans = tracer.snapshot(10);
+FlightEvent make_span(FlightOp op, const char* label, const char* object,
+                      const char* tier, std::uint64_t elapsed_ns, bool ok) {
+  FlightEvent span;
+  span.op = op;
+  copy_flight_text(span.label, label);
+  copy_flight_text(span.object, object);
+  copy_flight_text(span.tier, tier);
+  span.b = elapsed_ns;
+  span.status = static_cast<std::uint8_t>(ok ? StatusCode::kOk
+                                             : StatusCode::kNotFound);
+  return span;
+}
+
+TEST(TraceTest, RecordsScopeAndLeafSpansUnderOneTrace) {
+  std::uint64_t trace_id = 0;
+  std::uint64_t root_span = 0;
+  {
+    TraceScope root;
+    trace_id = root.trace_id();
+    root_span = root.span_id();
+    {
+      TraceScope event;
+      record_span(event, FlightOp::kEvent, "rule:trace-test", "tt-obj", "",
+                  StatusCode::kOk, event.elapsed(), /*rule_id=*/9);
+    }
+    record_leaf_span(FlightOp::kRetry, root.start(), "put:x2", "", "tt-m1",
+                     StatusCode::kUnavailable);
+    record_span(root, FlightOp::kPut, "", "tt-obj", "tt-m1", StatusCode::kOk,
+                from_ms(1.5));
+  }
+
+  const auto spans = spans_of_trace(trace_id);
   ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].op, TraceOp::kPut);
-  EXPECT_STREQ(spans[0].object_id, "obj1");
-  EXPECT_STREQ(spans[0].tier, "m1");
-  EXPECT_TRUE(spans[0].ok());
-  EXPECT_NEAR(spans[0].duration_ms, 1.5, 1e-9);
-  EXPECT_EQ(spans[2].op, TraceOp::kGet);
-  EXPECT_FALSE(spans[2].ok());
-  EXPECT_LT(spans[0].seq, spans[1].seq);
-  EXPECT_LT(spans[1].seq, spans[2].seq);
-}
-
-TEST(RequestTracerTest, RingBufferWrapsKeepingNewest) {
-  RequestTracer tracer(8);
-  for (int i = 0; i < 20; ++i) {
-    tracer.record(TraceOp::kPut, "obj" + std::to_string(i), "m1",
-                  from_ms(1.0), true);
+  // Ordered by start: the PUT and its retry opened no later than the rule.
+  EXPECT_TRUE(std::is_sorted(
+      spans.begin(), spans.end(),
+      [](const FlightEvent& x, const FlightEvent& y) { return x.t_us < y.t_us; }));
+  int seen = 0;
+  for (const FlightEvent& span : spans) {
+    switch (span.op) {
+      case FlightOp::kPut:
+        EXPECT_EQ(span.span_id, root_span);
+        EXPECT_EQ(span.parent_span_id, 0u);
+        EXPECT_STREQ(span.object, "tt-obj");
+        EXPECT_NEAR(span.duration_ms(), 1.5, 1e-9);
+        EXPECT_TRUE(span.ok());
+        seen |= 1;
+        break;
+      case FlightOp::kEvent:
+        EXPECT_EQ(span.parent_span_id, root_span);
+        EXPECT_EQ(span.rule_id(), 9u);
+        EXPECT_EQ(span.name(), "rule:trace-test");
+        seen |= 2;
+        break;
+      case FlightOp::kRetry:
+        EXPECT_EQ(span.parent_span_id, root_span);
+        EXPECT_NE(span.span_id, root_span);
+        EXPECT_EQ(span.code(), StatusCode::kUnavailable);
+        EXPECT_STREQ(span.tier, "tt-m1");
+        seen |= 4;
+        break;
+      default:
+        ADD_FAILURE() << "unexpected span " << to_string(span.op);
+    }
   }
-  EXPECT_EQ(tracer.total_recorded(), 20u);
-  EXPECT_EQ(tracer.capacity(), 8u);
+  EXPECT_EQ(seen, 7);
+}
 
-  const auto spans = tracer.snapshot(100);
-  ASSERT_EQ(spans.size(), 8u);
-  // The ring keeps exactly the last 8 spans (seq 12..19), oldest first.
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].seq, 12 + i);
-    EXPECT_STREQ(spans[i].object_id,
-                 ("obj" + std::to_string(12 + i)).c_str());
+TEST(TraceTest, LeafSpanWithoutContextIsItsOwnRoot) {
+  const TimePoint start = now();
+  record_leaf_span(FlightOp::kHedge, start, "hedge", "tt-lonely", "tt-b1",
+                   StatusCode::kOk);
+  std::vector<FlightEvent> mine;
+  for (const FlightEvent& span : recent_spans(0)) {
+    if (std::string(span.object) == "tt-lonely") mine.push_back(span);
   }
-  // snapshot(last_n) trims from the old end.
-  const auto tail = tracer.snapshot(3);
-  ASSERT_EQ(tail.size(), 3u);
-  EXPECT_EQ(tail[0].seq, 17u);
-  EXPECT_EQ(tail[2].seq, 19u);
+  ASSERT_EQ(mine.size(), 1u);
+  EXPECT_NE(mine[0].trace_id, 0u);
+  EXPECT_EQ(mine[0].parent_span_id, 0u);
+  EXPECT_EQ(mine[0].name(), "hedge");
 }
 
-TEST(RequestTracerTest, LongIdsTruncatedSafely) {
-  RequestTracer tracer(4);
-  const std::string long_id(200, 'x');
-  tracer.record(TraceOp::kGet, long_id, "a-tier-name-that-is-way-too-long",
-                from_ms(1.0), true);
-  const auto spans = tracer.snapshot(1);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(std::string(spans[0].object_id).size(), 47u);  // 48 - NUL
-  EXPECT_EQ(std::string(spans[0].tier).size(), 23u);       // 24 - NUL
+TEST(TraceTest, RecentSpansKeepsTheNewest) {
+  for (int i = 0; i < 5; ++i) {
+    TraceScope scope;
+    record_span(scope, FlightOp::kGet, "", "tt-tail" + std::to_string(i), "",
+                StatusCode::kOk, scope.elapsed());
+  }
+  const auto tail = recent_spans(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_STREQ(tail[0].object, "tt-tail3");
+  EXPECT_STREQ(tail[1].object, "tt-tail4");
 }
 
-TEST(RequestTracerTest, DisabledRecordsNothing) {
-  RequestTracer tracer(8);
-  tracer.set_enabled(false);
-  tracer.record(TraceOp::kPut, "obj", "m1", from_ms(1.0), true);
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-  EXPECT_TRUE(tracer.snapshot(10).empty());
-  tracer.set_enabled(true);
-  tracer.record(TraceOp::kPut, "obj", "m1", from_ms(1.0), true);
-  EXPECT_EQ(tracer.snapshot(10).size(), 1u);
-}
-
-TEST(RequestTracerTest, DumpRendersSpans) {
-  RequestTracer tracer(8);
-  EXPECT_NE(tracer.dump().find("no requests traced"), std::string::npos);
-  tracer.record(TraceOp::kPut, "obj1", "m1", from_ms(1.0), true);
-  tracer.record(TraceOp::kGet, "ghost", "", from_ms(0.2), false);
-  const std::string out = tracer.dump(10);
+TEST(TraceTest, RenderSpansShowsVerbsTiersAndFailures) {
+  EXPECT_NE(render_spans({}).find("no requests traced"), std::string::npos);
+  const std::string out = render_spans({
+      make_span(FlightOp::kPut, "tenant-a", "obj1", "m1", 1000000, true),
+      make_span(FlightOp::kGet, "", "ghost", "", 200000, false),
+      make_span(FlightOp::kResponse, "move -> b1", "obj1", "b1", 5000, true),
+  });
   EXPECT_NE(out.find("PUT"), std::string::npos);
   EXPECT_NE(out.find("obj1"), std::string::npos);
   EXPECT_NE(out.find("tier=m1"), std::string::npos);
+  EXPECT_NE(out.find("1.000ms"), std::string::npos);
   EXPECT_NE(out.find("FAILED"), std::string::npos);
+  EXPECT_NE(out.find("move -> b1"), std::string::npos);
+  EXPECT_EQ(out.find("tenant-a"), std::string::npos);  // a tenant is no name
 }
 
-TEST(RequestTracerTest, OverflowCountsDroppedSpans) {
-  Counter& global =
-      MetricsRegistry::global().counter("tiera_trace_dropped_total");
-  const std::uint64_t before = global.value();
-
-  RequestTracer tracer(8);
-  for (int i = 0; i < 20; ++i) {
-    tracer.record(TraceOp::kPut, "obj" + std::to_string(i), "m1",
-                  from_ms(1.0), true);
+TEST(TraceTest, SpanTreeNestsChildrenUnderParents) {
+  std::vector<FlightEvent> spans = {
+      make_span(FlightOp::kPut, "", "obj1", "m1", 1000000, true),
+      make_span(FlightOp::kEvent, "rule:spill", "obj1", "", 500000, true),
+      make_span(FlightOp::kResponse, "move -> b1", "obj1", "b1", 250000,
+                false),
+      make_span(FlightOp::kGet, "", "other", "m1", 1000, true),
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    spans[i].trace_id = 77;
+    spans[i].span_id = i + 1;
+    spans[i].parent_span_id = i;  // 0 for the PUT root
+    spans[i].t_us = static_cast<std::int64_t>(i);
   }
-  // The ring held 8 of 20 spans; the 12 overwritten ones are "dropped".
-  EXPECT_EQ(tracer.dropped(), 12u);
-  EXPECT_EQ(global.value() - before, 12u);
-
-  RequestTracer roomy(64);
-  for (int i = 0; i < 20; ++i) {
-    roomy.record(TraceOp::kPut, "obj", "m1", from_ms(1.0), true);
-  }
-  EXPECT_EQ(roomy.dropped(), 0u);
-}
-
-TEST(RequestTracerTest, CapacityFromEnvOverridesFallback) {
-  ::unsetenv("TIERA_TRACE_CAPACITY");
-  EXPECT_EQ(RequestTracer::capacity_from_env(512), 512u);
-
-  ::setenv("TIERA_TRACE_CAPACITY", "33", 1);
-  EXPECT_EQ(RequestTracer::capacity_from_env(512), 33u);
-  RequestTracer tracer(RequestTracer::capacity_from_env(512));
-  EXPECT_EQ(tracer.capacity(), 33u);
-
-  ::setenv("TIERA_TRACE_CAPACITY", "not-a-number", 1);
-  EXPECT_EQ(RequestTracer::capacity_from_env(512), 512u);
-  ::setenv("TIERA_TRACE_CAPACITY", "-4", 1);
-  EXPECT_EQ(RequestTracer::capacity_from_env(512), 512u);
-  ::unsetenv("TIERA_TRACE_CAPACITY");
-}
-
-TEST(RequestTracerTest, ConcurrentRecordersKeepCapacityInvariant) {
-  RequestTracer tracer(32);
-  constexpr int kThreads = 8;
-  constexpr int kOps = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
-      for (int i = 0; i < kOps; ++i) {
-        tracer.record(TraceOp::kGet, "t" + std::to_string(t), "m1",
-                      from_ms(0.1), true);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(tracer.total_recorded(),
-            static_cast<std::uint64_t>(kThreads) * kOps);
-  const auto spans = tracer.snapshot(1000);
-  EXPECT_EQ(spans.size(), 32u);
-  for (const auto& span : spans) EXPECT_TRUE(span.ok());
+  spans[3].trace_id = 78;
+  spans[3].span_id = 9;
+  EXPECT_EQ(render_span_tree(spans, 77),
+            "PUT PUT obj1 tier=m1 1.000ms ok\n"
+            "  EVENT rule:spill obj1 tier=- 0.500ms ok\n"
+            "    RESPONSE move -> b1 obj1 tier=b1 0.250ms FAILED\n");
+  EXPECT_NE(render_span_tree(spans, 5).find("trace not in ring"),
+            std::string::npos);
 }
 
 }  // namespace

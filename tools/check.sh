@@ -3,7 +3,7 @@
 #
 # Configures a dedicated build tree (build-tsan/, gitignored via build-*/)
 # with -DTIERA_SANITIZE=thread, builds it, and runs the observability, core
-# and common test binaries — the ones exercising the trace ring, the
+# and common test binaries — the ones exercising the flight-recorder rings, the
 # context-carrying thread pool, and the control layer's response pool —
 # plus the epoll-reactor, group-commit and segment-log suites (event loops,
 # per-core shards and the coalesced journal are the most race-prone code in
