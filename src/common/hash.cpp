@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace tiera {
 
 std::uint64_t fnv1a64(ByteView data) {
@@ -50,12 +54,49 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
-std::uint32_t crc32c(ByteView data, std::uint32_t seed) {
+std::uint32_t crc32c_portable(ByteView data, std::uint32_t seed) {
   std::uint32_t c = ~seed;
   for (std::uint8_t byte : data) {
     c = kCrcTable.t[(c ^ byte) & 0xFF] ^ (c >> 8);
   }
   return ~c;
+}
+
+namespace {
+
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes the same Castagnoli CRC, 8 bytes per step.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    ByteView data, std::uint32_t seed) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t c64 = ~seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    c64 = _mm_crc32_u64(c64, word);
+  }
+  auto c = static_cast<std::uint32_t>(c64);
+  for (; n > 0; ++p, --n) c = _mm_crc32_u8(c, *p);
+  return ~c;
+}
+#endif
+
+using Crc32cFn = std::uint32_t (*)(ByteView, std::uint32_t);
+
+Crc32cFn pick_crc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
+#endif
+  return crc32c_portable;
+}
+
+}  // namespace
+
+std::uint32_t crc32c(ByteView data, std::uint32_t seed) {
+  static const Crc32cFn impl = pick_crc32c();
+  return impl(data, seed);
 }
 
 Sha256::Sha256()

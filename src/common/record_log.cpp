@@ -1,6 +1,7 @@
 #include "common/record_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -47,30 +48,7 @@ Status errno_status(std::string_view op) {
   return Status::Internal(std::string(op) + ": " + std::strerror(errno));
 }
 
-Result<std::uint64_t> replay_file(const std::string& path,
-                                  const RecordFn& fn) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::uint64_t{0};
-    return errno_status("open " + path + " for replay");
-  }
-  Bytes log;
-  {
-    std::uint8_t buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const Status error = errno_status("read " + path);
-        ::close(fd);
-        return error;
-      }
-      if (n == 0) break;
-      log.insert(log.end(), buf, buf + n);
-    }
-  }
-  ::close(fd);
-
+std::uint64_t replay_buffer(ByteView log, const RecordFn& fn) {
   std::size_t pos = 0;
   while (pos + kHeaderBytes <= log.size()) {
     const std::uint8_t* header = log.data() + pos;
@@ -87,18 +65,58 @@ Result<std::uint64_t> replay_file(const std::string& path,
     const std::uint64_t value_offset = pos + kHeaderBytes + key_len;
     fn(std::string_view(reinterpret_cast<const char*>(header + kHeaderBytes),
                         key_len),
-       type == kPut, ByteView(log.data() + value_offset, value_len),
-       value_offset);
+       type == kPut, log.subspan(value_offset, value_len), value_offset);
     pos = end;
   }
-  if (pos < log.size()) {
-    TIERA_LOG(kWarn, "log") << "discarding " << (log.size() - pos)
+  return pos;
+}
+
+Result<Bytes> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound(path + ": no such file");
+    return errno_status("open " + path);
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status error = errno_status("fstat " + path);
+    ::close(fd);
+    return error;
+  }
+  Bytes data(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status error = errno_status("read " + path);
+      ::close(fd);
+      return error;
+    }
+    if (n == 0) break;  // shrank since the fstat
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  data.resize(done);
+  return data;
+}
+
+Result<std::uint64_t> replay_file(const std::string& path,
+                                  const RecordFn& fn) {
+  Result<Bytes> log = read_file(path);
+  if (!log.ok()) {
+    if (log.status().code() == StatusCode::kNotFound) return std::uint64_t{0};
+    return log.status();
+  }
+  const std::uint64_t valid = replay_buffer(as_view(*log), fn);
+  if (valid < log->size()) {
+    TIERA_LOG(kWarn, "log") << "discarding " << (log->size() - valid)
                             << " torn/corrupt bytes at tail of " << path;
-    if (::truncate(path.c_str(), static_cast<off_t>(pos)) != 0) {
+    if (::truncate(path.c_str(), static_cast<off_t>(valid)) != 0) {
       return errno_status("truncate " + path);
     }
   }
-  return std::uint64_t{pos};
+  return valid;
 }
 
 }  // namespace tiera::record_log

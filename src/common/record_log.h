@@ -48,10 +48,18 @@ using RecordFn = std::function<void(std::string_view key, bool live,
                                     ByteView value,
                                     std::uint64_t value_offset)>;
 
-// Reads the log at `path` and hands each record to `fn`. Replay stops at
-// the first torn, corrupt or unknown-type record, and the file is truncated
-// there (crash recovery). Returns the valid length; a missing file is an
-// empty log.
+// Hands each record at the front of `log` to `fn` and returns the length of
+// that valid prefix: decoding stops at the first torn, corrupt or
+// unknown-type record. `value_offset` is relative to `log`.
+std::uint64_t replay_buffer(ByteView log, const RecordFn& fn);
+
+// The whole file at `path`, read with one fstat-sized read. A missing file
+// is NotFound.
+Result<Bytes> read_file(const std::string& path);
+
+// Reads the log at `path` and hands each record to `fn` (replay_buffer).
+// The file is truncated after its valid prefix (crash recovery). Returns the
+// valid length; a missing file is an empty log.
 Result<std::uint64_t> replay_file(const std::string& path, const RecordFn& fn);
 
 }  // namespace tiera::record_log

@@ -134,10 +134,24 @@ std::vector<FlightEvent> recent_spans(std::size_t last_n) {
   return spans;
 }
 
+namespace {
+
+// A rule or response span's name is a label cut to 23 characters, which
+// rules of one instance can share; its rule id tells them apart.
+std::string span_title(const FlightEvent& span) {
+  std::string title(span.name());
+  if (!span.is_request() && span.rule_id() != 0) {
+    title += " rule=" + std::to_string(span.rule_id());
+  }
+  return title;
+}
+
+}  // namespace
+
 std::string render_spans(const std::vector<FlightEvent>& spans) {
   std::string out;
   for (const FlightEvent& span : spans) {
-    const std::string name(span.name());
+    const std::string name = span_title(span);
     char line[256];
     std::snprintf(line, sizeof(line),
                   "%-8s %-24s tier=%-12s %8.3fms %-6s trace=%llu span=%llu "
@@ -181,7 +195,7 @@ std::string render_span_tree(const std::vector<FlightEvent>& all,
     char line[256];
     std::snprintf(line, sizeof(line), "%*s%s %s%s%s tier=%s %.3fms %s\n",
                   depth * 2, "", std::string(to_string(span.op)).c_str(),
-                  std::string(span.name()).c_str(), span.object[0] ? " " : "",
+                  span_title(span).c_str(), span.object[0] ? " " : "",
                   span.object, span.tier[0] ? span.tier : "-",
                   span.duration_ms(), span.ok() ? "ok" : "FAILED");
     out += line;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -183,7 +184,7 @@ Result<Bytes> FileTier::load_raw(std::string_view key) const {
       loc = it->second;
     }
     if (!log_) return Status::Internal(name() + ": segment log unavailable");
-    auto value = log_->read(loc);
+    auto value = log_->read(loc, key);
     if (value.ok() || value.status().code() != StatusCode::kNotFound) {
       return value;
     }
@@ -252,13 +253,23 @@ Status FileTier::compact_log() {
 
 Status FileTier::compact_locked() {
   if (!log_) return Status::Internal(name() + ": segment log unavailable");
+  std::vector<std::string> dropped;  // damaged values compaction left out
   TIERA_RETURN_IF_ERROR(log_->compact(
       [this](const SegmentLog::LiveVisitor& visit) {
         for (const auto& [key, loc] : index_) visit(key, loc);
       },
-      [this](std::string_view key, const LogLocation& loc) {
-        index_[std::string(key)] = loc;
+      [this, &dropped](std::string_view key, const LogLocation* loc) {
+        if (loc == nullptr) {
+          dropped.emplace_back(key);  // erased below: index_ is being walked
+        } else {
+          index_[std::string(key)] = *loc;
+        }
       }));
+  for (const std::string& key : dropped) {
+    const auto it = index_.find(key);
+    release_usage(it->second.length);
+    index_.erase(it);
+  }
   dead_bytes_ = 0;
   return Status::Ok();
 }

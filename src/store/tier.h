@@ -185,6 +185,8 @@ class Tier {
   void reset_usage() { used_.store(0); }
   // For tiers that reload persisted objects at construction time.
   void add_reloaded_usage(std::uint64_t bytes) { used_.fetch_add(bytes); }
+  // For tiers that lose an object outside remove() (a damaged value).
+  void release_usage(std::uint64_t bytes) { used_.fetch_sub(bytes); }
 
  private:
   Status check_failure() const;

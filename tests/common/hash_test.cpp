@@ -32,6 +32,34 @@ TEST(Crc32cTest, SeedChainingEqualsConcatenation) {
   EXPECT_EQ(crc32c(as_view(b), crc32c(as_view(a))), crc32c(as_view(ab)));
 }
 
+// crc32c() may take the SSE4.2 path; it must match the table path at every
+// length (the 8-byte loop plus each byte tail), every start alignment, and
+// when chained through seeds.
+TEST(Crc32cTest, HardwarePathEqualsTablePath) {
+  const Bytes payload = make_payload(4100 + 8, 3);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 4100; ++len) {
+      const ByteView data(payload.data() + start, len);
+      ASSERT_EQ(crc32c(data), crc32c_portable(data))
+          << "start " << start << " len " << len;
+    }
+  }
+  // Chained seeds: any split of the input gives the whole input's CRC,
+  // whichever path computes each piece.
+  const ByteView whole(payload.data(), 4100);
+  const std::uint32_t expected = crc32c_portable(whole);
+  for (std::size_t split : {0u, 1u, 7u, 8u, 9u, 100u, 4095u, 4100u}) {
+    const ByteView head = whole.first(split);
+    const ByteView tail = whole.subspan(split);
+    EXPECT_EQ(crc32c(tail, crc32c(head)), expected) << split;
+    EXPECT_EQ(crc32c(tail, crc32c_portable(head)), expected) << split;
+    EXPECT_EQ(crc32c_portable(tail, crc32c(head)), expected) << split;
+  }
+  for (std::uint32_t seed : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
+    EXPECT_EQ(crc32c(whole, seed), crc32c_portable(whole, seed)) << seed;
+  }
+}
+
 TEST(Sha256Test, KnownVectors) {
   EXPECT_EQ(Sha256::hex_digest(as_view(std::string_view(""))),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");

@@ -117,18 +117,21 @@ TEST(TraceTest, RecentSpansKeepsTheNewest) {
 
 TEST(TraceTest, RenderSpansShowsVerbsTiersAndFailures) {
   EXPECT_NE(render_spans({}).find("no requests traced"), std::string::npos);
-  const std::string out = render_spans({
+  std::vector<FlightEvent> spans = {
       make_span(FlightOp::kPut, "tenant-a", "obj1", "m1", 1000000, true),
       make_span(FlightOp::kGet, "", "ghost", "", 200000, false),
       make_span(FlightOp::kResponse, "move -> b1", "obj1", "b1", 5000, true),
-  });
+  };
+  spans[2].a = 12;  // the firing rule's id
+  const std::string out = render_spans(spans);
   EXPECT_NE(out.find("PUT"), std::string::npos);
   EXPECT_NE(out.find("obj1"), std::string::npos);
   EXPECT_NE(out.find("tier=m1"), std::string::npos);
   EXPECT_NE(out.find("1.000ms"), std::string::npos);
   EXPECT_NE(out.find("FAILED"), std::string::npos);
-  EXPECT_NE(out.find("move -> b1"), std::string::npos);
+  EXPECT_NE(out.find("move -> b1 rule=12"), std::string::npos);
   EXPECT_EQ(out.find("tenant-a"), std::string::npos);  // a tenant is no name
+  EXPECT_EQ(out.find("rule=0"), std::string::npos);
 }
 
 TEST(TraceTest, SpanTreeNestsChildrenUnderParents) {
@@ -145,12 +148,13 @@ TEST(TraceTest, SpanTreeNestsChildrenUnderParents) {
     spans[i].parent_span_id = i;  // 0 for the PUT root
     spans[i].t_us = static_cast<std::int64_t>(i);
   }
+  spans[1].a = spans[2].a = 3;  // the rule that fired and its response
   spans[3].trace_id = 78;
   spans[3].span_id = 9;
   EXPECT_EQ(render_span_tree(spans, 77),
             "PUT PUT obj1 tier=m1 1.000ms ok\n"
-            "  EVENT rule:spill obj1 tier=- 0.500ms ok\n"
-            "    RESPONSE move -> b1 obj1 tier=b1 0.250ms FAILED\n");
+            "  EVENT rule:spill rule=3 obj1 tier=- 0.500ms ok\n"
+            "    RESPONSE move -> b1 rule=3 obj1 tier=b1 0.250ms FAILED\n");
   EXPECT_NE(render_span_tree(spans, 5).find("trace not in ring"),
             std::string::npos);
 }

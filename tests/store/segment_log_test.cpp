@@ -1,18 +1,27 @@
 // The append-only segment log backing the file tiers: replay, torn-tail
-// truncation, rolling, compaction, and concurrent read/write safety.
+// truncation, rolling, compaction, hint files, checked reads, crash
+// recovery, and concurrent read/write safety.
 #include "store/segment_log.h"
+
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 #include <thread>
 
+#include "store/file_tier.h"
 #include "test_util.h"
 
 namespace tiera {
@@ -256,8 +265,8 @@ TEST(SegmentLogTest, CompactionDropsDeadBytesAndPreservesValues) {
                       [&](const SegmentLog::LiveVisitor& visit) {
                         for (const auto& [key, loc] : index) visit(key, loc);
                       },
-                      [&](std::string_view key, const LogLocation& loc) {
-                        index[std::string(key)] = loc;
+                      [&](std::string_view key, const LogLocation* loc) {
+                        index[std::string(key)] = *loc;
                       })
                   .ok());
   EXPECT_LT((*log)->log_bytes(), before / 2);  // 9 of 10 generations dropped
@@ -294,7 +303,9 @@ TEST(SegmentLogTest, WipeClearsDiskAndStartsOver) {
 TEST(SegmentLogTest, ConcurrentAppendersAndReaders) {
   TempDir dir;
   Index index;
-  auto log = open_with_index(dir.sub("log"), index);
+  SegmentLogOptions options;
+  options.segment_bytes = 4 << 10;  // appends cross seals (hint writes)
+  auto log = open_with_index(dir.sub("log"), index, options);
   ASSERT_TRUE(log.ok());
 
   // Seed a stable key each reader hammers while writers append.
@@ -329,6 +340,485 @@ TEST(SegmentLogTest, ConcurrentAppendersAndReaders) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 }
+
+// ---- hint files ----------------------------------------------------------
+
+constexpr std::uint64_t kHintSegmentBytes = 4 << 10;
+
+SegmentLogOptions small_segments() {
+  SegmentLogOptions options;
+  options.segment_bytes = kHintSegmentBytes;
+  return options;
+}
+
+using Call = std::tuple<std::string, bool, LogLocation>;
+
+// What an open reported: every ReplayFn call in order, and log_bytes().
+struct Replayed {
+  std::unique_ptr<SegmentLog> log;
+  std::vector<Call> calls;
+  Index index;
+  std::uint64_t log_bytes = 0;
+};
+
+Replayed open_recording(const std::string& dir) {
+  Replayed out;
+  auto log = SegmentLog::open(
+      dir, small_segments(),
+      [&out](std::string_view key, bool live, const LogLocation& loc) {
+        out.calls.emplace_back(std::string(key), live, loc);
+        if (live) {
+          out.index[std::string(key)] = loc;
+        } else {
+          out.index.erase(std::string(key));
+        }
+      });
+  EXPECT_TRUE(log.ok()) << log.status().to_string();
+  if (log.ok()) {
+    out.log = std::move(log).value();
+    out.log_bytes = out.log->log_bytes();
+  }
+  return out;
+}
+
+Bytes hint_payload(int i) { return make_payload(200 + (i * 37) % 700, i); }
+
+// Puts, overwrites and tombstones over 12 keys, spread across many 4 KiB
+// segments. Returns the expected live set.
+std::map<std::string, Bytes> write_history(const std::string& dir) {
+  std::map<std::string, Bytes> live;
+  Index scratch;
+  auto log = open_with_index(dir, scratch, small_segments());
+  EXPECT_TRUE(log.ok());
+  for (int i = 0; i < 120; ++i) {
+    const std::string key = "key-" + std::to_string(i % 12);
+    if (i % 7 == 6) {
+      EXPECT_TRUE((*log)->append_tombstone(key).ok());
+      live.erase(key);
+    } else {
+      EXPECT_TRUE((*log)->append(key, as_view(hint_payload(i))).ok());
+      live[key] = hint_payload(i);
+    }
+  }
+  return live;
+}
+
+std::set<std::uint64_t> numbered(const std::string& dir,
+                                 const std::string& suffix) {
+  std::set<std::uint64_t> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) != 0 || name.size() <= 4 + suffix.size() ||
+        name.substr(name.size() - suffix.size()) != suffix) {
+      continue;
+    }
+    out.insert(std::stoull(name.substr(4, name.size() - 4 - suffix.size())));
+  }
+  return out;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void remove_hints(const std::string& dir) {
+  for (const std::uint64_t n : numbered(dir, ".hint")) {
+    fs::remove(dir + "/seg-" + std::to_string(n) + ".hint");
+  }
+}
+
+// A copy of `dir` with no hints: what a full replay of every segment sees.
+std::string full_replay_copy(const std::string& dir, const std::string& to) {
+  fs::copy(dir, to, fs::copy_options::recursive);
+  remove_hints(to);
+  return to;
+}
+
+void expect_same_open(const Replayed& got, const Replayed& want) {
+  ASSERT_EQ(got.calls.size(), want.calls.size());
+  for (std::size_t i = 0; i < got.calls.size(); ++i) {
+    const auto& [key, live, loc] = got.calls[i];
+    const auto& [want_key, want_live, want_loc] = want.calls[i];
+    ASSERT_EQ(key, want_key) << "call " << i;
+    ASSERT_EQ(live, want_live) << "call " << i << " " << key;
+    ASSERT_TRUE(loc == want_loc)
+        << "call " << i << " " << key << ": segment " << loc.segment
+        << " offset " << loc.offset << " length " << loc.length << " vs "
+        << want_loc.segment << "/" << want_loc.offset << "/"
+        << want_loc.length;
+  }
+  EXPECT_EQ(got.log_bytes, want.log_bytes);
+}
+
+// Every sealed segment (all but the tail) has a hint, and no hint is left
+// for a segment that does not exist.
+void expect_hints_for_sealed(const std::string& dir) {
+  std::set<std::uint64_t> sealed = numbered(dir, ".log");
+  ASSERT_FALSE(sealed.empty());
+  sealed.erase(std::prev(sealed.end()));
+  EXPECT_EQ(numbered(dir, ".hint"), sealed);
+}
+
+TEST(SegmentLogHintTest, HintedOpenEqualsFullReplay) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  const auto live = write_history(path);
+  ASSERT_GE(numbered(path, ".log").size(), 5u);
+  expect_hints_for_sealed(path);
+  EXPECT_TRUE(numbered(path, ".hint.tmp").empty());
+
+  const Replayed hinted = open_recording(path);
+  const Replayed full = open_recording(full_replay_copy(path, dir.sub("full")));
+  expect_same_open(hinted, full);
+  // Hints add no log bytes: log_bytes() is the segments' size on disk.
+  std::uint64_t on_disk = 0;
+  for (const std::uint64_t n : numbered(path, ".log")) {
+    on_disk += fs::file_size(path + "/seg-" + std::to_string(n) + ".log");
+  }
+  EXPECT_EQ(hinted.log_bytes, on_disk);
+
+  // The live set reads back, each value checked against its key.
+  ASSERT_EQ(hinted.index.size(), live.size());
+  for (const auto& [key, value] : live) {
+    auto got = hinted.log->read(hinted.index.at(key), key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(*got, value) << key;
+  }
+  // The full replay backfilled every hint, byte for byte.
+  expect_hints_for_sealed(dir.sub("full"));
+  for (const std::uint64_t n : numbered(path, ".hint")) {
+    const std::string name = "/seg-" + std::to_string(n) + ".hint";
+    EXPECT_EQ(file_bytes(dir.sub("full") + name), file_bytes(path + name))
+        << name;
+  }
+}
+
+TEST(SegmentLogHintTest, FileTierDeadBytesMatchFullReplay) {
+  TempDir dir;
+  const std::string path = dir.sub("s3");
+  write_history(path);
+  const std::string full = full_replay_copy(path, dir.sub("full"));
+  ObjectTier hinted("hinted", 1 << 30, path);
+  ObjectTier replayed("replayed", 1 << 30, full);
+  EXPECT_EQ(hinted.log_bytes(), replayed.log_bytes());
+  EXPECT_EQ(hinted.dead_log_bytes(), replayed.dead_log_bytes());
+  EXPECT_GT(hinted.dead_log_bytes(), 0u);
+  EXPECT_EQ(hinted.object_count(), replayed.object_count());
+  EXPECT_EQ(hinted.used(), replayed.used());
+}
+
+// Each damage leaves the open equal to a full replay of the same segments,
+// and the damaged hint is rewritten as the full replay would write it.
+TEST(SegmentLogHintTest, BadHintsFallBackToFullReplay) {
+  struct Case {
+    const char* name;
+    void (*damage)(const std::string& dir);
+  };
+  const Case cases[] = {
+      {"truncated hint",
+       [](const std::string& dir) {
+         const std::string hint = dir + "/seg-2.hint";
+         fs::resize_file(hint, fs::file_size(hint) - 5);
+       }},
+      {"flipped hint byte",
+       [](const std::string& dir) {
+         const std::string hint = dir + "/seg-2.hint";
+         std::string bytes = file_bytes(hint);
+         bytes[bytes.size() / 2] ^= 0x20;
+         write_bytes(hint, bytes);
+       }},
+      {"segment shorter than recorded",
+       [](const std::string& dir) {
+         const std::string seg = dir + "/seg-2.log";
+         fs::resize_file(seg, fs::file_size(seg) - 100);
+       }},
+      {"leftover tmp instead of hint",
+       [](const std::string& dir) {
+         const std::string hint = dir + "/seg-2.hint";
+         const std::string bytes = file_bytes(hint);
+         write_bytes(hint + ".tmp", bytes.substr(0, bytes.size() / 2));
+         fs::remove(hint);
+       }},
+      {"leftover tmp beside hint",
+       [](const std::string& dir) {
+         write_bytes(dir + "/seg-3.hint.tmp", "half a hint");
+       }},
+      {"orphan hint",
+       [](const std::string& dir) {
+         fs::copy_file(dir + "/seg-2.hint", dir + "/seg-99.hint");
+       }},
+      {"hint beside the tail",
+       [](const std::string& dir) {
+         const std::uint64_t tail = *numbered(dir, ".log").rbegin();
+         fs::copy_file(dir + "/seg-2.hint",
+                       dir + "/seg-" + std::to_string(tail) + ".hint");
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempDir dir;
+    const std::string path = dir.sub("log");
+    write_history(path);
+    c.damage(path);
+    const std::string full = dir.sub("full");
+    full_replay_copy(path, full);
+
+    const Replayed got = open_recording(path);
+    const Replayed want = open_recording(full);
+    expect_same_open(got, want);
+    EXPECT_TRUE(numbered(path, ".hint.tmp").empty());
+    expect_hints_for_sealed(path);
+    for (const std::uint64_t n : numbered(full, ".hint")) {
+      const std::string name = "/seg-" + std::to_string(n) + ".hint";
+      EXPECT_EQ(file_bytes(path + name), file_bytes(full + name)) << name;
+    }
+    // And the next open uses the backfilled hints to the same result.
+    expect_same_open(open_recording(path), want);
+  }
+}
+
+TEST(SegmentLogHintTest, CompactAndWipeLeaveNoStaleHints) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  write_history(path);
+  Replayed opened = open_recording(path);
+  const std::uint64_t first_new = *numbered(path, ".log").rbegin() + 1;
+  Index& index = opened.index;
+  ASSERT_TRUE(opened.log
+                  ->compact(
+                      [&](const SegmentLog::LiveVisitor& visit) {
+                        for (const auto& [key, loc] : index) visit(key, loc);
+                      },
+                      [&](std::string_view key, const LogLocation* loc) {
+                        index[std::string(key)] = *loc;
+                      })
+                  .ok());
+  EXPECT_EQ(*numbered(path, ".log").begin(), first_new);
+  for (const std::uint64_t n : numbered(path, ".hint")) EXPECT_GE(n, first_new);
+  // Appends after compaction roll and seal as usual.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(opened.log->append("post", as_view(hint_payload(i))).ok());
+  }
+  expect_hints_for_sealed(path);
+  const Replayed hinted = open_recording(path);
+  expect_same_open(hinted, open_recording(full_replay_copy(path, dir.sub("f"))));
+
+  ASSERT_TRUE(opened.log->wipe().ok());
+  EXPECT_TRUE(numbered(path, ".hint").empty());
+  EXPECT_EQ(numbered(path, ".log"), std::set<std::uint64_t>{1});
+}
+
+TEST(SegmentLogHintTest, CorruptSealedValueFailsOnlyItsRead) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  std::map<std::string, Bytes> live;
+  LogLocation victim;
+  {
+    Index scratch;
+    auto log = open_with_index(path, scratch, small_segments());
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; i < 40; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      auto loc = (*log)->append(key, as_view(hint_payload(i)));
+      ASSERT_TRUE(loc.ok());
+      live[key] = hint_payload(i);
+      if (i == 1) victim = *loc;
+    }
+  }
+  ASSERT_EQ(victim.segment, 1u);  // sealed, so the open uses its hint
+  ASSERT_TRUE(fs::exists(path + "/seg-1.hint"));
+  {
+    std::fstream f(path + "/seg-1.log",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(victim.offset + victim.length / 2));
+    f.put(static_cast<char>(live["k1"][victim.length / 2] ^ 0xFF));
+  }
+  const Replayed opened = open_recording(path);
+  ASSERT_EQ(opened.index.size(), live.size());
+  for (const auto& [key, value] : live) {
+    auto got = opened.log->read(opened.index.at(key), key);
+    if (key == "k1") {
+      ASSERT_FALSE(got.ok()) << "a corrupt value read back";
+      EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(*got, value) << key;
+  }
+  // A location read under another key's name is refused too.
+  EXPECT_FALSE(opened.log->read(opened.index.at("k2"), "k3").ok());
+
+  // Compaction copies every other value and drops the damaged one rather
+  // than rewrite it under a fresh CRC.
+  Index index = opened.index;
+  std::vector<std::string> dropped;
+  ASSERT_TRUE(opened.log
+                  ->compact(
+                      [&](const SegmentLog::LiveVisitor& visit) {
+                        for (const auto& [key, loc] : index) visit(key, loc);
+                      },
+                      [&](std::string_view key, const LogLocation* loc) {
+                        if (loc == nullptr) {
+                          dropped.emplace_back(key);
+                        } else {
+                          index[std::string(key)] = *loc;
+                        }
+                      })
+                  .ok());
+  EXPECT_EQ(dropped, std::vector<std::string>{"k1"});
+  const Replayed compacted = open_recording(path);
+  EXPECT_EQ(compacted.index.count("k1"), 0u);
+  ASSERT_EQ(compacted.index.size(), live.size() - 1);
+  for (const auto& [key, loc] : compacted.index) {
+    auto got = compacted.log->read(loc, key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(*got, live[key]) << key;
+  }
+}
+
+TEST(SegmentLogHintTest, FileTierCompactionDropsDamagedValue) {
+  testing::ZeroLatencyScope zero_latency;
+  TempDir dir;
+  const std::string path = dir.sub("s3");
+  std::map<std::string, Bytes> live;
+  LogLocation victim;
+  {
+    Index scratch;
+    auto log = open_with_index(path, scratch, small_segments());
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; i < 20; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      auto loc = (*log)->append(key, as_view(hint_payload(i)));
+      ASSERT_TRUE(loc.ok());
+      live[key] = hint_payload(i);
+      if (i == 3) victim = *loc;
+    }
+  }
+  {
+    std::fstream f(path + "/seg-" + std::to_string(victim.segment) + ".log",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(victim.offset));
+    f.put(static_cast<char>(live["k3"][0] ^ 0xFF));
+  }
+  ObjectTier tier("s3", 1 << 30, path);
+  const std::uint64_t used = tier.used();
+  EXPECT_EQ(tier.get("k3").status().code(), StatusCode::kCorruption);
+  ASSERT_TRUE(tier.compact_log().ok());
+  EXPECT_FALSE(tier.contains("k3"));
+  EXPECT_EQ(tier.used(), used - victim.length);
+  EXPECT_EQ(tier.object_count(), live.size() - 1);
+  for (const auto& [key, value] : live) {
+    if (key == "k3") continue;
+    auto got = tier.get(key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(*got, value) << key;
+  }
+}
+
+// ---- crash recovery ------------------------------------------------------
+
+// Op i writes key i % 8: a put of crash_payload(i), or every fifth op a
+// tombstone, so a read-back names the op that wrote it.
+std::string crash_key(std::uint64_t op) { return "c" + std::to_string(op % 8); }
+bool crash_is_tombstone(std::uint64_t op) { return op % 5 == 4; }
+Bytes crash_payload(std::uint64_t op) {
+  return make_payload(300 + op % 11 * 70, op + 1);
+}
+
+[[noreturn]] void run_appender(const std::string& dir, int ack_fd) {
+  auto log = SegmentLog::open(dir, small_segments(),
+                              [](std::string_view, bool, const LogLocation&) {});
+  if (!log.ok()) ::_exit(2);
+  for (std::uint64_t op = 0;; ++op) {
+    const bool ok =
+        crash_is_tombstone(op)
+            ? (*log)->append_tombstone(crash_key(op)).ok()
+            : (*log)->append(crash_key(op), as_view(crash_payload(op))).ok();
+    if (!ok) ::_exit(3);
+    if (::write(ack_fd, &op, sizeof(op)) != sizeof(op)) ::_exit(4);
+  }
+}
+
+bool read_ack(int fd, std::uint64_t* op) {
+  std::size_t got = 0;
+  auto* out = reinterpret_cast<char*>(op);
+  while (got < sizeof(*op)) {
+    const ssize_t n = ::read(fd, out + got, sizeof(*op) - got);
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+class SegmentLogCrashTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SegmentLogCrashTest, AckedAppendsSurviveSigkill) {
+  TempDir dir;
+  const std::string path = dir.sub("log");
+  // Kill after a seeded number of acks (so seals have happened) plus a
+  // seeded pause, which lands the kill inside an append, a seal or between.
+  std::mt19937 rng(GetParam());
+  const std::uint64_t acks_before_kill =
+      std::uniform_int_distribution<std::uint64_t>(1, 300)(rng);
+  const auto kill_after = std::chrono::microseconds(
+      std::uniform_int_distribution<int>(0, 2000)(rng));
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds[0]);
+    run_appender(path, fds[1]);
+  }
+  ::close(fds[1]);
+  std::map<std::string, std::uint64_t> acked;  // key -> last acked op
+  std::uint64_t last = 0;
+  std::uint64_t op = 0;
+  do {
+    ASSERT_TRUE(read_ack(fds[0], &op)) << "appender died after op " << last;
+    acked[crash_key(op)] = last = op;
+  } while (op + 1 < acks_before_kill);
+  std::this_thread::sleep_for(kill_after);
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "appender exited: "
+                                    << WEXITSTATUS(wstatus);
+  while (read_ack(fds[0], &op)) acked[crash_key(op)] = last = op;
+  ::close(fds[0]);
+
+  const std::string full = full_replay_copy(path, dir.sub("full"));
+  const Replayed hinted = open_recording(path);
+  ASSERT_NE(hinted.log, nullptr);
+  for (const auto& [key, acked_op] : acked) {
+    SCOPED_TRACE("key " + key + ", last acked op " + std::to_string(acked_op) +
+                 " of " + std::to_string(last));
+    // The acked state, or that of op last + 1: done but not yet reported
+    // (the appender reports op i before it starts op i + 1).
+    const auto it = hinted.index.find(key);
+    auto matches = [&](std::uint64_t o) {
+      if (crash_is_tombstone(o)) return it == hinted.index.end();
+      if (it == hinted.index.end()) return false;
+      auto got = hinted.log->read(it->second, key);
+      return got.ok() && *got == crash_payload(o);
+    };
+    EXPECT_TRUE(matches(acked_op) ||
+                (crash_key(last + 1) == key && matches(last + 1)));
+  }
+  expect_same_open(hinted, open_recording(full));
+  RecordProperty("segments", static_cast<int>(numbered(path, ".log").size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentLogCrashTest,
+                         ::testing::Range(1u, 9u));
 
 }  // namespace
 }  // namespace tiera
