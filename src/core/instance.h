@@ -52,8 +52,10 @@ struct InstanceConfig {
   bool journal_sync = false;
   // Group-commit batch bound: flush once this many bytes are staged...
   std::uint64_t journal_batch_bytes = 256 << 10;
-  // ...or once the batch leader has lingered this long for followers
-  // (only meaningful when journal_sync is on).
+  // ...or once no PUT/DELETE that will commit soon is in flight (and, after
+  // a batch several background writes shared, as many are back), but at
+  // the latest after the batch leader has lingered this long for them
+  // (only meaningful when journal_sync is on). A lone writer never waits.
   Duration journal_batch_wait = std::chrono::microseconds(200);
   // When no placement rule stores an inserted object, fall back to the first
   // tier (the paper's specs always include a placement rule; this keeps

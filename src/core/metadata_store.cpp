@@ -31,6 +31,7 @@ MetadataStore::CommitScope::CommitScope(MetadataStore& store)
   if (!joined_) {
     outer_ = t_scopes;
     t_scopes = this;
+    if (store_.db_) store_.db_->open_writer();
   }
 }
 
@@ -40,7 +41,7 @@ Status MetadataStore::CommitScope::finish() {
   if (joined_ || !open_) return Status::Ok();
   open_ = false;
   t_scopes = outer_;
-  return store_.commit_now(max_seq_);
+  return store_.commit_now(max_seq_, /*scoped=*/true);
 }
 
 MetadataStore::CommitScope* MetadataStore::active_scope() {
@@ -53,7 +54,7 @@ MetadataStore::CommitScope* MetadataStore::active_scope() {
 Status MetadataStore::commit_staged() {
   CommitScope* scope = active_scope();
   if (!db_ || !scope || scope->max_seq_ == 0) return Status::Ok();
-  return db_->commit(scope->max_seq_);
+  return db_->commit_writer(scope->max_seq_, /*stay_open=*/true);
 }
 
 MetadataStore::Shard& MetadataStore::shard_for(std::string_view id) {
@@ -128,13 +129,19 @@ Status MetadataStore::commit(std::uint64_t seq) {
     scope->max_seq_ = std::max(scope->max_seq_, seq);
     return Status::Ok();
   }
-  return commit_now(seq);
+  return commit_now(seq, /*scoped=*/false);
 }
 
-Status MetadataStore::commit_now(std::uint64_t seq) {
-  if (!db_ || seq == 0) return Status::Ok();
-  TIERA_RETURN_IF_ERROR(db_->commit(seq));
-  if (db_->wants_compaction(dead_bytes_.load(std::memory_order_relaxed))) {
+Status MetadataStore::commit_now(std::uint64_t seq, bool scoped) {
+  if (!db_) return Status::Ok();
+  // A scope closes its journal writer even when it staged nothing.
+  if (scoped) {
+    TIERA_RETURN_IF_ERROR(db_->commit_writer(seq));
+  } else if (seq != 0) {
+    TIERA_RETURN_IF_ERROR(db_->commit(seq));
+  }
+  if (seq != 0 &&
+      db_->wants_compaction(dead_bytes_.load(std::memory_order_relaxed))) {
     return compact();
   }
   return Status::Ok();

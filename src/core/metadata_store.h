@@ -48,7 +48,7 @@ class MetadataStore {
               const std::vector<std::string>& volatile_tiers = {});
 
   // Null when metadata is purely in-memory. Exposed so the watchdog can
-  // probe journal progress (flushed batches vs staged records).
+  // probe journal progress (flushed batches vs records awaited).
   MetaDb* db() { return db_.get(); }
 
   // Folds the journal writes of one operation into a single group commit.
@@ -58,7 +58,10 @@ class MetadataStore {
   // for the highest sequence number staged, and runs the compaction check
   // once. A scope opened while one for the same store is already open on
   // the thread joins it: its finish() does nothing and the outer scope
-  // commits. The destructor finishes a scope the caller did not.
+  // commits. The destructor finishes a scope the caller did not. An open
+  // scope is an announced journal writer (MetaDb::open_writer): a batch
+  // leader lingers for it (up to journal_batch_wait) so its records share
+  // the leader's fsync.
   class CommitScope {
    public:
     explicit CommitScope(MetadataStore& store);
@@ -161,10 +164,11 @@ class MetadataStore {
   std::uint64_t stage_put_locked(Entry& entry);
   std::uint64_t stage_erase_locked(const Entry& entry);
   // Inside this thread's scope: remembers `seq` for its finish(). Outside:
-  // commit_now(seq).
+  // commit_now(seq), a plain MetaDb commit.
   Status commit(std::uint64_t seq);
-  // Waits for `seq`, then compacts if the log is mostly dead.
-  Status commit_now(std::uint64_t seq);
+  // Waits for `seq` (closing the scope's journal writer when `scoped`),
+  // then compacts if the log is mostly dead.
+  Status commit_now(std::uint64_t seq, bool scoped);
   // This thread's innermost open scope for this store, or null.
   CommitScope* active_scope();
   // Rewrites the journal from the maps when it is mostly dead. Takes every

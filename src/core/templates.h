@@ -31,6 +31,8 @@ struct TemplateOptions {
   // Metadata-journal durability (InstanceConfig::journal_*): fsync every
   // acknowledged write, with group commit amortizing the fsyncs across
   // concurrent writers (tierad's --journal-sync/--journal-batch flags).
+  // The batch wait only caps the leader's linger for PUTs/DELETEs already
+  // in flight; a lone writer flushes at once.
   bool journal_sync = false;
   std::uint64_t journal_batch_bytes = 256 << 10;
   Duration journal_batch_wait = std::chrono::microseconds(200);

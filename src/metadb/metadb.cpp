@@ -125,6 +125,11 @@ Status MetaDb::commit(std::uint64_t seq) {
   return journal_.commit(seq);
 }
 
+Status MetaDb::commit_writer(std::uint64_t seq, bool stay_open) {
+  StageTimer stage(Stage::kJournalAppend);
+  return journal_.commit_writer(seq, stay_open);
+}
+
 // The group-commit flush: one write (and one fsync when configured) for a
 // whole batch of staged records. Runs outside mu_, but never concurrently
 // with an fd_ swap — compaction drains the journal under mu_ first.

@@ -34,10 +34,11 @@ struct MetaDbOptions {
   bool sync_every_write = false;
   // Group commit: flush once this many bytes are staged...
   std::uint64_t journal_batch_bytes = 256 << 10;
-  // ...or after the batch leader has lingered this long for followers.
-  // Only applies when sync_every_write is on; unsynced appends go straight
-  // to the OS page cache so a process crash loses nothing it would not
-  // have lost before.
+  // ...or once no writer that will commit soon is left (see open_writer),
+  // or at the latest after the batch leader has lingered this long. Only
+  // applies when sync_every_write is on; unsynced appends go straight to
+  // the OS page cache so a process crash loses nothing it would not have
+  // lost before.
   Duration journal_batch_wait = std::chrono::microseconds(200);
 };
 
@@ -68,6 +69,12 @@ class MetaDb {
   std::uint64_t stage_put(std::string_view key, ByteView value);
   std::uint64_t stage_erase(std::string_view key);
   Status commit(std::uint64_t seq);
+
+  // An announced writer: open_writer() before staging, commit_writer(seq)
+  // instead of commit(seq). A lingering batch leader waits for open ones
+  // (GroupCommitter::open_writer).
+  void open_writer() { journal_.open_writer(); }
+  Status commit_writer(std::uint64_t seq, bool stay_open = false);
 
   // Bytes a record with this key and value takes in the log. Owners keep
   // it per live key to count dead bytes.
@@ -100,9 +107,10 @@ class MetaDb {
   };
   JournalStats journal_stats() const;
 
-  // Lock-free watchdog probes: flushed-batch progress and staged-but-
-  // unflushed records (see GroupCommitter). journal_stats() takes the
-  // journal lock and must not be used from the watchdog thread.
+  // Lock-free watchdog probes: flushed-batch progress and the unflushed
+  // records some commit() is waiting for (see GroupCommitter).
+  // journal_stats() takes the journal lock and must not be used from the
+  // watchdog thread.
   std::uint64_t journal_batches() const { return journal_.flushed_batches(); }
   std::uint64_t journal_pending() const { return journal_.pending_records(); }
 

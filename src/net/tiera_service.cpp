@@ -125,7 +125,9 @@ Status TieraServer::enable_incident_reporting(const std::string& incident_dir) {
       "control-tick", [control] { return control->timer_ticks(); },
       [control] { return control->timer_running() ? std::size_t(1) : 0; },
       /*stall_checks_override=*/40));
-  // The metadb journal: progress = flushed batches, queue = staged records.
+  // The metadb journal: progress = flushed batches, queue = unflushed
+  // records some commit waits for (a PUT still in its tier I/O is not
+  // queued on the journal).
   MetaDb* meta = instance_.metadata().db();
   if (meta != nullptr) {
     watchdog_ids_.push_back(watchdog.add_component(

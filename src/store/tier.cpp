@@ -170,20 +170,30 @@ Status Tier::put(std::string_view key, ByteView value) {
     apply_model_delay(sample_write_delay(key, value.size(), t_jitter_rng));
   }
 
-  // Capacity accounting: replace-aware. A races here can transiently
-  // over/under count by one object; the control layer's threshold events
-  // tolerate that (they fire on the next mutation).
-  const std::optional<std::uint64_t> old_size = size_raw(key);
-  const std::uint64_t delta_new = value.size();
-  const std::uint64_t delta_old = old_size.value_or(0);
+  // Capacity accounting: replace-aware. The growth is claimed with a CAS
+  // before the bytes land, so concurrent puts of distinct keys never push
+  // used_ past the capacity, and given back if the store fails. A shrinking
+  // replace frees its bytes only once they are gone. Concurrent puts of
+  // one key can still each count it as new.
+  const std::uint64_t old_size = size_raw(key).value_or(0);
+  const std::uint64_t new_size = value.size();
+  const std::uint64_t claim = new_size > old_size ? new_size - old_size : 0;
   const std::uint64_t cap = capacity();
-  if (cap > 0 && used() - delta_old + delta_new > cap) {
-    stats_.failed_ops.fetch_add(1, std::memory_order_relaxed);
-    return Status::CapacityExceeded(name_ + " full");
+  std::uint64_t in_use = used_.load(std::memory_order_relaxed);
+  do {
+    if (cap > 0 && claim > 0 && in_use + claim > cap) {
+      stats_.failed_ops.fetch_add(1, std::memory_order_relaxed);
+      return Status::CapacityExceeded(name_ + " full");
+    }
+  } while (!used_.compare_exchange_weak(in_use, in_use + claim,
+                                        std::memory_order_relaxed));
+  if (Status stored = store_raw(key, value); !stored.ok()) {
+    used_.fetch_sub(claim, std::memory_order_relaxed);
+    return stored;
   }
-  TIERA_RETURN_IF_ERROR(store_raw(key, value));
-  used_.fetch_add(delta_new, std::memory_order_relaxed);
-  used_.fetch_sub(delta_old, std::memory_order_relaxed);
+  if (old_size > new_size) {
+    used_.fetch_sub(old_size - new_size, std::memory_order_relaxed);
+  }
   stats_.puts.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_written.fetch_add(value.size(), std::memory_order_relaxed);
   if (timed) metrics_.put_latency->record(now() - start);

@@ -405,6 +405,25 @@ TEST_F(JournalAccountingTest, PutAndDeleteCommitOnceGetWritesNothing) {
   EXPECT_FALSE(instance->contains("obj"));
 }
 
+// The batch wait caps the leader's linger for other PUTs in flight; a lone
+// PUT has nothing to wait for and pays only its own fsync.
+TEST_F(JournalAccountingTest, LonePutDoesNotWaitOutTheBatchWindow) {
+  TemplateOptions opts;
+  opts.data_dir = dir_.sub("lone");
+  opts.persist_metadata = true;
+  opts.journal_sync = true;
+  opts.journal_batch_wait = std::chrono::milliseconds(500);
+  auto instance = make_memcached_ebs_instance(opts, 1 << 20, 1 << 20);
+  ASSERT_TRUE(instance.ok()) << instance.status().to_string();
+
+  const JournalCounts before = journal();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE((*instance)->put("obj", as_view(make_payload(256, 5))).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(250));
+  EXPECT_EQ(since(before).fsyncs, 1u);
+}
+
 TEST_F(JournalAccountingTest, RejectedPutLeavesNoRecordAfterReopen) {
   {
     auto instance = open_instance();

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "test_util.h"
@@ -306,7 +307,8 @@ TEST(MetadataStoreTest, CommitScopeFoldsWritesIntoOneCommit) {
       ASSERT_TRUE(store.put(make_meta("b")).ok());
       ASSERT_TRUE(inner.finish().ok());  // joined: the outer scope commits
     }
-    EXPECT_EQ(store.db()->journal_pending(), 3u);
+    // All three are staged and none is flushed yet.
+    EXPECT_EQ(store.db()->journal_stats().records, 0u);
     EXPECT_EQ(store.db()->journal_stats().fsyncs, 0u);
     ASSERT_TRUE(outer.finish().ok());
     EXPECT_EQ(store.db()->journal_pending(), 0u);
@@ -328,10 +330,40 @@ TEST(MetadataStoreTest, CommitStagedWaitsAndKeepsScopeOpen) {
   ASSERT_TRUE(store.put(make_meta("a")).ok());
   ASSERT_TRUE(store.commit_staged().ok());
   EXPECT_EQ(store.db()->journal_pending(), 0u);
+  EXPECT_EQ(store.db()->journal_stats().records, 1u);
   ASSERT_TRUE(store.put(make_meta("b")).ok());
-  EXPECT_EQ(store.db()->journal_pending(), 1u);
+  EXPECT_EQ(store.db()->journal_stats().records, 1u);  // b is only staged
   ASSERT_TRUE(scope.finish().ok());
   EXPECT_EQ(store.db()->journal_pending(), 0u);
+  EXPECT_EQ(store.db()->journal_stats().records, 2u);
+}
+
+// Writes outside any scope (background responses) commit one by one, as
+// plain journal committers: concurrent ones still share fsyncs, because a
+// leader waits for as many of them as shared the last batch.
+TEST(MetadataStoreTest, ConcurrentUnscopedWritesShareFsyncs) {
+  TempDir dir;
+  MetaDbOptions options;
+  options.sync_every_write = true;
+  options.journal_batch_wait = std::chrono::milliseconds(1);
+  MetadataStore store;
+  ASSERT_TRUE(store.open(dir.sub("meta"), options).ok());
+  constexpr int kThreads = 8;
+  constexpr int kWrites = 40;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kWrites; ++i) {
+        EXPECT_TRUE(store.put(make_meta(std::to_string(t) + "-" +
+                                        std::to_string(i)))
+                        .ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const auto stats = store.db()->journal_stats();
+  EXPECT_EQ(stats.records, kThreads * std::uint64_t(kWrites));
+  EXPECT_LT(stats.fsyncs, stats.records / 4);
 }
 
 // access_count/last_access are soft: note_access stages nothing, and the

@@ -164,6 +164,41 @@ TEST_P(TierKindsTest, ConcurrentPutsAndGets) {
   EXPECT_EQ(tier->object_count(), 1600u);
 }
 
+// Racing puts of distinct keys into a tier with room for kFit of them, each
+// removed again so the tier stays at the edge of full: the capacity check and
+// the usage update are one step, so used() never passes the capacity, and it
+// ends equal to the bytes actually stored.
+TEST_P(TierKindsTest, ConcurrentPutsNeverOverfill) {
+  constexpr std::uint64_t kObject = 1000;
+  constexpr std::uint64_t kFit = 5;
+  auto tier = make(kFit * kObject);
+  const Bytes payload = make_payload(kObject, 1);
+  std::atomic<bool> go{false};
+  std::atomic<bool> overfilled{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 4000; ++i) {
+        const std::string key = "t" + std::to_string(t) + "-" +
+                                std::to_string(i);
+        if (!tier->put(key, as_view(payload)).ok()) continue;
+        if (tier->used() > kFit * kObject) overfilled.store(true);
+        (void)tier->remove(key);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(overfilled.load());
+  std::vector<std::string> keys;
+  tier->for_each_key([&](std::string_view key) { keys.emplace_back(key); });
+  std::uint64_t stored = 0;
+  for (const auto& key : keys) stored += tier->get(key).value().size();
+  EXPECT_EQ(tier->used(), stored);
+  EXPECT_LE(stored, kFit * kObject);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTierKinds, TierKindsTest,
                          ::testing::Values("mem", "ephemeral", "block",
                                            "object"));

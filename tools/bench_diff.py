@@ -6,14 +6,24 @@ Usage:
     tools/bench_diff.py --saturation FLOORS REPORT
 
 Exits non-zero when any benchmark present in both files regressed by more
-than the threshold (relative slowdown of the chosen metric). Benchmarks that
+than the threshold (relative slowdown of the chosen metric). A file may hold
+several repetitions of a benchmark (--benchmark_repetitions): its fastest
+one is compared, since noise on a shared host only ever adds time. Benchmarks that
 appear in only one file are reported but never fail the check, so adding or
 removing a benchmark does not require regenerating the baseline in the same
 commit.
 
-The baseline is committed at bench/BENCH_micro.json and regenerated with:
-    build/bench/micro_primitives --benchmark_min_time=0.05 \
+The baseline is committed at bench/BENCH_micro.json. Regenerate it with the
+bench lane's own command, from the Release build the lane compares, on the
+kind of host the lane runs on (a Debug or 1-CPU baseline is slow enough to
+hide a large regression):
+    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-ci-release -j --target micro_primitives
+    build-ci-release/bench/micro_primitives --benchmark_min_time=0.05 \
+        --benchmark_repetitions=5 \
         --benchmark_format=json --benchmark_out=bench/BENCH_micro.json
+Then run the lane against it a few times: on a host whose speed drifts by
+more than the threshold between runs, no baseline holds.
 
 Microbenchmark timings wobble across machines and runs; 15% default
 threshold is deliberately loose — this is a tripwire for order-of-magnitude
@@ -48,7 +58,7 @@ def canonical_name(name):
 
 
 def load_benchmarks(path, metric):
-    """Returns {name: metric_value} for the aggregate-free benchmark entries."""
+    """Returns {name: fastest metric_value} over the non-aggregate entries."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     out = {}
@@ -60,7 +70,8 @@ def load_benchmarks(path, metric):
         value = entry.get(metric)
         if name is None or value is None:
             continue
-        out[canonical_name(name)] = float(value)
+        name = canonical_name(name)
+        out[name] = min(float(value), out.get(name, float("inf")))
     return out
 
 

@@ -6,7 +6,8 @@ Locks in the contract the CI bench gate depends on:
     rows — they must never fail the diff (new benches land without a
     baseline refresh in the same commit);
   * benchmarks present only in the baseline are "gone" informational rows;
-  * a real regression beyond the threshold still fails.
+  * a real regression beyond the threshold still fails;
+  * with repetitions, each file's fastest repetition is compared.
 """
 
 import json
@@ -20,12 +21,13 @@ BENCH_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def bench_json(entries):
-    return {
-        "benchmarks": [
-            {"name": name, "run_type": "iteration", "cpu_time": value}
-            for name, value in entries.items()
-        ]
-    }
+    """{name: cpu_time, or a list of one per repetition} as benchmark JSON."""
+    rows = []
+    for name, values in entries.items():
+        for value in values if isinstance(values, list) else [values]:
+            rows.append({"name": name, "run_type": "iteration",
+                         "cpu_time": value})
+    return {"benchmarks": rows}
 
 
 def run_diff(baseline, current, extra_args=()):
@@ -134,6 +136,23 @@ def main():
         extra_args=("--threshold", "0.15"),
     )
     ok &= expect(code == 0, "threads:N baselines compare cleanly", out)
+
+    # Repetitions: the fastest of each file is compared, so one slow
+    # repetition (a noisy neighbour) does not fail the gate...
+    code, out = run_diff(
+        {"BM_InstancePut4K": [130.0, 100.0, 105.0]},
+        {"BM_InstancePut4K": [300.0, 108.0, 140.0]},
+        extra_args=("--threshold", "0.15"),
+    )
+    ok &= expect(code == 0, "fastest repetitions compared", out)
+
+    # ...but a slowdown every repetition shows still does.
+    code, out = run_diff(
+        {"BM_InstancePut4K": [130.0, 100.0, 105.0]},
+        {"BM_InstancePut4K": [130.0, 125.0, 140.0]},
+        extra_args=("--threshold", "0.15"),
+    )
+    ok &= expect(code == 1, "slowdown in every repetition fails", out)
 
     # --saturation mode: throughput at or above every floor passes, and
     # the "_comment" key in the committed floors file is ignored.

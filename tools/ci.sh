@@ -72,8 +72,9 @@ stage_bench() {
   cmake --build "${repo_root}/build-ci-release" -j "${jobs}" \
     --target micro_primitives stage_smoke heat_smoke saturation_smoke
   # Reduced scale: this is a regression tripwire, not a measurement run.
+  # bench_diff compares each benchmark's fastest of the five repetitions.
   "${repo_root}/build-ci-release/bench/micro_primitives" \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 --benchmark_repetitions=5 \
     --benchmark_format=json \
     --benchmark_out="${repo_root}/build-ci-release/BENCH_micro.json"
   # Tee the diff so the workflow can upload it as an artifact even when the
